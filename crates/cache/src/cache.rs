@@ -84,6 +84,8 @@ pub struct Cache {
     ways: Vec<Way>,
     assoc: usize,
     set_mask: u64,
+    /// `log2(sets)`: the shift from a line number to its tag.
+    set_bits: u32,
     tick: u64,
     /// Running count of valid ways, maintained on every fill/evict so
     /// [`occupancy`](Self::occupancy) is O(1) instead of a full-array
@@ -100,6 +102,7 @@ impl Cache {
             ways: vec![Way::default(); sets * cfg.assoc],
             assoc: cfg.assoc,
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             cfg,
             tick: 0,
             occupied: 0,
@@ -120,7 +123,7 @@ impl Cache {
     #[inline]
     fn index(&self, pa: PhysAddr) -> (usize, u64) {
         let line = pa.as_u64() >> CACHE_LINE_SHIFT;
-        ((line & self.set_mask) as usize, line >> self.set_mask.count_ones())
+        ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
     /// Looks up `pa`; on hit updates LRU (and dirtiness for writes) and
@@ -150,7 +153,6 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.index(pa);
-        let set_bits = self.set_mask.count_ones();
         let base = set * self.assoc;
         let ways = &mut self.ways[base..base + self.assoc];
         // Reuse an invalid way if present.
@@ -160,7 +162,7 @@ impl Cache {
             return None;
         }
         let victim = ways.iter_mut().min_by_key(|w| w.stamp).expect("associativity >= 1");
-        let evicted_line = ((victim.tag << set_bits) | set as u64) << CACHE_LINE_SHIFT;
+        let evicted_line = ((victim.tag << self.set_bits) | set as u64) << CACHE_LINE_SHIFT;
         let ev = Eviction { line: PhysAddr::new(evicted_line), dirty: victim.dirty };
         if ev.dirty {
             self.stats.dirty_evictions += 1;
@@ -208,8 +210,7 @@ impl Cache {
     /// Clears all dirty bits, returning the base addresses of lines that
     /// were dirty (a full write-back flush).
     pub fn writeback_all(&mut self) -> Vec<PhysAddr> {
-        let set_bits = self.set_mask.count_ones();
-        let assoc = self.assoc;
+        let (assoc, set_bits) = (self.assoc, self.set_bits);
         let mut out = Vec::new();
         for (set, ways) in self.ways.chunks_mut(assoc).enumerate() {
             for way in ways.iter_mut() {

@@ -40,7 +40,31 @@ pub struct AccessResult {
     pub llc_miss: bool,
     /// Dirty lines evicted all the way out of the LLC; each must be written
     /// back to memory (and committed in the durability image).
-    pub writebacks: Vec<PhysAddr>,
+    pub writebacks: Writebacks,
+}
+
+/// The dirty lines one access pushes out of the LLC, held inline. There
+/// are at most three: the fill's own LLC victim plus one per spill chain
+/// from L1 and from L2. Dereferences to the lines in eviction order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Writebacks {
+    lines: [PhysAddr; 3],
+    len: u8,
+}
+
+impl Writebacks {
+    fn push(&mut self, line: PhysAddr) {
+        self.lines[usize::from(self.len)] = line;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Writebacks {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        &self.lines[..usize::from(self.len)]
+    }
 }
 
 /// Per-level statistics snapshot.
@@ -82,7 +106,7 @@ impl Hierarchy {
     /// Performs one cache-line access.
     pub fn access(&mut self, pa: PhysAddr, kind: AccessKind) -> AccessResult {
         let mut latency = Cycles::new(self.l1.config().hit_cycles);
-        let mut writebacks = Vec::new();
+        let mut writebacks = Writebacks::default();
 
         if self.l1.lookup(pa, kind) {
             return AccessResult { latency, needs_fill: false, llc_miss: false, writebacks };
@@ -120,7 +144,7 @@ impl Hierarchy {
 
     /// Installs into L1; evicted dirty lines are pushed into L2 (which may in
     /// turn push into the LLC, which may write back to memory).
-    fn fill_l1(&mut self, pa: PhysAddr, kind: AccessKind, wb: &mut Vec<PhysAddr>) {
+    fn fill_l1(&mut self, pa: PhysAddr, kind: AccessKind, wb: &mut Writebacks) {
         if let Some(ev) = self.l1.insert(pa, kind.is_write()) {
             if ev.dirty {
                 self.spill_to_l2(ev.line, wb);
@@ -128,7 +152,7 @@ impl Hierarchy {
         }
     }
 
-    fn fill_l2(&mut self, pa: PhysAddr, wb: &mut Vec<PhysAddr>) {
+    fn fill_l2(&mut self, pa: PhysAddr, wb: &mut Writebacks) {
         if let Some(ev) = self.l2.insert(pa, false) {
             if ev.dirty {
                 self.spill_to_llc(ev.line, wb);
@@ -137,7 +161,7 @@ impl Hierarchy {
     }
 
     /// A dirty line leaving L1 lands in L2 (present or not).
-    fn spill_to_l2(&mut self, line: PhysAddr, wb: &mut Vec<PhysAddr>) {
+    fn spill_to_l2(&mut self, line: PhysAddr, wb: &mut Writebacks) {
         if self.l2.probe(line) {
             self.l2.lookup(line, AccessKind::Write);
             return;
@@ -149,7 +173,7 @@ impl Hierarchy {
         }
     }
 
-    fn spill_to_llc(&mut self, line: PhysAddr, wb: &mut Vec<PhysAddr>) {
+    fn spill_to_llc(&mut self, line: PhysAddr, wb: &mut Writebacks) {
         if self.llc.probe(line) {
             self.llc.lookup(line, AccessKind::Write);
             return;
@@ -163,7 +187,7 @@ impl Hierarchy {
         }
     }
 
-    fn count_wb(&mut self, wb: &[PhysAddr]) {
+    fn count_wb(&mut self, wb: &Writebacks) {
         self.memory_writebacks += wb.len() as u64;
     }
 

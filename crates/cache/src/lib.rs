@@ -29,4 +29,4 @@ pub mod cache;
 pub mod hierarchy;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Eviction};
-pub use hierarchy::{AccessResult, Hierarchy, HierarchyConfig, HierarchyStats};
+pub use hierarchy::{AccessResult, Hierarchy, HierarchyConfig, HierarchyStats, Writebacks};

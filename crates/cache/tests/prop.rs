@@ -90,7 +90,7 @@ proptest! {
             let pa = PhysAddr::new(l * 64);
             let res = h.access(pa, AccessKind::Write);
             written.insert(l);
-            for wb in res.writebacks {
+            for wb in res.writebacks.iter() {
                 written_back.insert(wb.as_u64() / 64);
             }
         }

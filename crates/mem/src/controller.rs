@@ -31,6 +31,28 @@ use crate::nvm::{CorrectionOutcome, MediaFaults, NvmDevice, WriteOutcome};
 use crate::stats::MemStats;
 use crate::store::{FrameSet, PageBox, PageStore, SumStore, UndoStore};
 
+/// Checksum of an all-zero line. The kernel zero-fills every new frame
+/// and initialises persistent page-table pages line by line, so most
+/// recorded line checksums are this one.
+const ZERO_LINE_SUM: u64 = checksum64(&[0; 8]);
+
+/// Checksum of one line image (8 little-endian words, FNV-1a fold).
+fn line_sum(image: &[u8; 64]) -> u64 {
+    let mut words = [0u64; 8];
+    let mut any = 0u64;
+    for (w, chunk) in words.iter_mut().zip(image.chunks_exact(8)) {
+        *w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        any |= *w;
+    }
+    // An OR over the words, not `image == [0; 64]`: the slice compare
+    // compiles to a library call.
+    if any == 0 {
+        ZERO_LINE_SUM
+    } else {
+        checksum64(&words)
+    }
+}
+
 /// Shared power-cut flag connecting a fault-injection trigger to an armed
 /// controller. Once [`cut`](PowerSwitch::cut) is called, the controller
 /// stops making anything durable: the simulation may keep executing (the
@@ -345,6 +367,15 @@ impl MemoryController {
         self.pages.get(pfn)
     }
 
+    /// A copy of the line's bytes (zero where the page was never touched).
+    fn line_image(&self, line: u64) -> [u8; 64] {
+        let off = (line & (PAGE_SIZE as u64 - 1)) as usize;
+        match self.page_ref(line >> PAGE_SHIFT) {
+            Some(p) => p[off..off + 64].try_into().expect("64-byte line"),
+            None => [0; 64],
+        }
+    }
+
     /// Moves the MRU slot's page back into the map, restoring the
     /// invariant that `pages` alone holds the whole image. Must run before
     /// any operation that iterates or retains `pages` wholesale.
@@ -380,16 +411,16 @@ impl MemoryController {
     /// scheduler keeps up to date — that attribution is what the race
     /// detector keys on.
     pub fn store_bytes(&mut self, pa: PhysAddr, data: &[u8]) {
-        // Snapshot undo state for NVM lines before mutating.
-        if self.layout.kind_of(pa) == Ok(MemKind::Nvm) {
-            let first = pa.line_base().as_u64();
-            let last = (pa.as_u64() + data.len().max(1) as u64 - 1) & !63;
+        let nvm = self.layout.kind_of(pa) == Ok(MemKind::Nvm);
+        let first = pa.line_base().as_u64();
+        let last = (pa.as_u64() + data.len().max(1) as u64 - 1) & !63;
+        if nvm {
+            // Snapshot undo state for NVM lines before mutating.
             let mut line = first;
             while line <= last {
                 sanitize::emit(|| Event::NvmWrite { line, cycle: 0 });
                 if !self.nvm_undo.contains(line) {
-                    let mut snap = [0u8; 64];
-                    self.load_bytes(PhysAddr::new(line), &mut snap);
+                    let snap = self.line_image(line);
                     self.nvm_undo.insert_absent(line, snap);
                 }
                 line += 64;
@@ -405,19 +436,17 @@ impl MemoryController {
             done += chunk;
             addr += chunk as u64;
         }
-        if self.media.is_some() && self.layout.kind_of(pa) == Ok(MemKind::Nvm) {
-            // Checksum the intended bytes first: stuck cells then force
-            // their values into the image, so a line whose store was
+        if nvm && self.media.is_some() {
+            // Checksum each line's intended bytes first: stuck cells then
+            // force their values into the image, so a line whose store was
             // corrupted past the ECP budget mismatches its recorded sum —
             // which is exactly what the patrol pass verifies.
-            let first = pa.line_base().as_u64();
-            let last = (pa.as_u64() + data.len().max(1) as u64 - 1) & !63;
             let mut line = first;
             while line <= last {
                 self.record_line_checksum(line);
+                self.stuck_write_to_line(line);
                 line += 64;
             }
-            self.apply_stuck_cells(pa, data.len());
         }
     }
 
@@ -425,42 +454,20 @@ impl MemoryController {
     /// — the named integrity primitive [`patrol_frame`](Self::patrol_frame)
     /// verifies against.
     fn record_line_checksum(&mut self, line: u64) {
-        let sum = self.line_checksum(line);
+        let sum = line_sum(&self.line_image(line));
         self.nvm_sums.insert(line, sum);
     }
 
-    /// Checksum of the line's current stored bytes (8 words, FNV-1a fold).
-    fn line_checksum(&self, line: u64) -> u64 {
-        let mut buf = [0u8; 64];
-        self.load_bytes(PhysAddr::new(line), &mut buf);
-        let mut words = [0u64; 8];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
-        }
-        checksum64(&words)
-    }
-
-    /// Applies the stuck-cell model to every line of a store: when ECP
-    /// correction is enabled the line's stuck cells are first covered by
-    /// correction entries (a fully covered line stores faithfully — the
-    /// entries hold the bits the cells cannot), and only cells beyond the
-    /// per-line budget force their stuck values into the image.
-    fn apply_stuck_cells(&mut self, pa: PhysAddr, len: usize) {
-        let first = pa.line_base().as_u64();
-        let last = (pa.as_u64() + len.max(1) as u64 - 1) & !63;
-        let mut line = first;
-        while line <= last {
-            self.stuck_write_to_line(line);
-            line += 64;
-        }
-    }
-
-    /// One line of [`apply_stuck_cells`]. With a zero correction budget this
-    /// is the raw stuck-at model: every uncorrected cell silently forces its
-    /// bit. With correction enabled, newly allocated entries announce
-    /// themselves (`ScrubCorrect`) and an over-budget line is declared
-    /// uncorrectable: its corruption is flagged (`ScrubDetect`) and its
-    /// frame queued for OS retirement alongside worn-out frames.
+    /// Applies the stuck-cell model to one stored line. With a zero
+    /// correction budget this is the raw stuck-at model: every stuck cell
+    /// silently forces its bit. With ECP correction enabled the line's
+    /// stuck cells are first covered by correction entries (a fully covered
+    /// line stores faithfully — the entries hold the bits the cells
+    /// cannot), and only cells beyond the per-line budget force their
+    /// values into the image. Newly allocated entries announce themselves
+    /// (`ScrubCorrect`) and an over-budget line is declared uncorrectable:
+    /// its corruption is flagged (`ScrubDetect`) and its frame queued for
+    /// OS retirement alongside worn-out frames.
     fn stuck_write_to_line(&mut self, line: u64) {
         let Some(media) = self.media.as_mut() else {
             return;
@@ -519,7 +526,7 @@ impl MemoryController {
             let Some(want) = self.nvm_sums.get(line) else {
                 continue;
             };
-            if self.line_checksum(line) == want {
+            if line_sum(&self.line_image(line)) == want {
                 continue;
             }
             sanitize::emit(|| Event::PatrolDetect { line });
@@ -567,8 +574,7 @@ impl MemoryController {
             return false;
         }
         let cells = media.stuck_cells_in_line(line);
-        let mut image = [0u8; 64];
-        self.load_bytes(PhysAddr::new(line), &mut image);
+        let image = self.line_image(line);
         'assign: for mask in 0u32..1 << cells.len() {
             let mut candidate = image;
             for (i, &(bit, _)) in cells.iter().enumerate() {
@@ -580,11 +586,7 @@ impl MemoryController {
                     candidate[byte] &= !m;
                 }
             }
-            let mut words = [0u64; 8];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = u64::from_le_bytes(candidate[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            }
-            if checksum64(&words) != want {
+            if line_sum(&candidate) != want {
                 continue 'assign;
             }
             let pfn = line >> PAGE_SHIFT;
@@ -734,8 +736,7 @@ impl MemoryController {
             if i < banks {
                 // `split` words of the new value reached the cells.
                 let split = rng.gen_below(9) as usize;
-                let mut cur = [0u8; 64];
-                self.load_bytes(PhysAddr::new(line), &mut cur);
+                let mut cur = self.line_image(line);
                 cur[split * 8..].copy_from_slice(&snap[split * 8..]);
                 // No rehash: a torn mix of old and new words is honest data
                 // loss, and keeping the new value's checksum lets the
@@ -1096,6 +1097,23 @@ mod tests {
             "64 cells in 64 lines must exhaust some 1-entry budget: {s:?}"
         );
         assert!(!m.take_failed_frames().is_empty(), "uncorrectable frame queued");
+    }
+
+    #[test]
+    fn zero_line_digest_is_the_checksum_of_zero_words() {
+        assert_eq!(ZERO_LINE_SUM, checksum64(&[0; 8]));
+        assert_eq!(line_sum(&[0; 64]), checksum64(&[0; 8]));
+        let mut rng = Rng64::new(17);
+        for _ in 0..256 {
+            let mut image = [0u8; 64];
+            // Mostly-zero lines: one or two non-zero bytes anywhere.
+            for _ in 0..1 + rng.gen_below(2) {
+                image[rng.gen_below(64) as usize] = 1 + rng.gen_below(255) as u8;
+            }
+            let words: Vec<u64> =
+                image.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
+            assert_eq!(line_sum(&image), checksum64(&words));
+        }
     }
 
     #[test]

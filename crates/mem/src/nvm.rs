@@ -217,6 +217,10 @@ pub struct MediaFaults {
     nvm_lines: u64,
     /// Write count per line (counts freeze once the budget is reached).
     wear: LineTable,
+    /// The lowest soft-failure threshold any line's budget can have (see
+    /// [`wear_floor`]). A write that leaves the count below it always
+    /// succeeds without a random draw.
+    wear_floor: u64,
     /// Stuck cells, up to [`CELLS_PER_LINE`] packed per entry (see
     /// [`encode_cell`]); 0 = none.
     stuck: LineTable,
@@ -248,6 +252,7 @@ impl MediaFaults {
             nvm_base,
             nvm_lines: lines,
             wear: LineTable::default(),
+            wear_floor: wear_floor(cfg.wear_limit),
             stuck,
             corrected: LineTable::default(),
             stats: MediaStats::default(),
@@ -295,8 +300,14 @@ impl MediaFaults {
         let Some(idx) = self.line_index(line) else {
             return WriteOutcome::Ok;
         };
-        let limit = self.endurance(line);
         let count = self.wear.get(idx);
+        if count + 1 < self.wear_floor {
+            // Below every budget's soft-failure zone: the write succeeds and
+            // rolls nothing, whatever this line's budget is.
+            self.wear.set(idx, count + 1);
+            return WriteOutcome::Ok;
+        }
+        let limit = self.endurance(line);
         if count >= limit {
             // Already past the budget; the count froze when it got there.
             return WriteOutcome::WornOut;
@@ -402,6 +413,19 @@ impl MediaFaults {
     pub fn stats(&self) -> &MediaStats {
         &self.stats
     }
+}
+
+/// The soft-failure threshold of the smallest budget [`MediaFaults`] can
+/// give a line under `wear_limit`. Budgets are `wear_limit - span/2` plus a
+/// jitter in `[0, span)`, and a budget `b` starts failing above
+/// `b - b/10`, which never decreases as `b` grows. A write whose new count
+/// is strictly below this floor is therefore below its line's soft zone
+/// and its budget, so it succeeds without drawing from the RNG. For
+/// `wear_limit < 10` the floor equals the smallest budget.
+fn wear_floor(wear_limit: u64) -> u64 {
+    let span = (wear_limit / 4).max(1);
+    let lo = wear_limit - span / 2;
+    lo - lo / 10
 }
 
 /// Stuck cells tracked per line (packed 16 bits each into one table entry).
@@ -520,6 +544,86 @@ mod tests {
         assert!(a.is_worn(0x40));
         assert_eq!(a.on_write(0x40), WriteOutcome::WornOut);
         assert!(a.stats().lines_worn_out >= 1);
+    }
+
+    impl MediaFaults {
+        /// The write rule without the wear-floor shortcut: every write
+        /// hashes the line's budget.
+        fn on_write_full_rule(&mut self, line: u64) -> WriteOutcome {
+            if self.cfg.wear_limit == 0 {
+                return WriteOutcome::Ok;
+            }
+            let Some(idx) = self.line_index(line) else {
+                return WriteOutcome::Ok;
+            };
+            let limit = self.endurance(line);
+            let count = self.wear.get(idx);
+            if count >= limit {
+                return WriteOutcome::WornOut;
+            }
+            let count = count + 1;
+            self.wear.set(idx, count);
+            if count >= limit {
+                self.stats.lines_worn_out += 1;
+                return WriteOutcome::WornOut;
+            }
+            let soft = limit - limit / 10;
+            if count > soft && self.rng.gen_below(limit - soft) < count - soft {
+                self.stats.transient_failures += 1;
+                return WriteOutcome::Transient;
+            }
+            WriteOutcome::Ok
+        }
+    }
+
+    #[test]
+    fn wear_floor_shortcut_matches_the_full_rule() {
+        const LINES: u64 = 6;
+        for wear_limit in [1, 2, 9, 10, 11, 40, 4096] {
+            let cfg = MediaFaultConfig { wear_limit, ..MediaFaultConfig::with_seed(wear_limit) };
+            let base = 1 << 30;
+            let mut fast = MediaFaults::new(cfg, base, LINES * 64);
+            let mut full = fast.clone();
+            let mut stream = Rng64::new(wear_limit ^ 0x5eed);
+            // Enough writes to carry every line past its budget, with a
+            // line outside the range on either side.
+            for i in 0..(LINES + 2) * (wear_limit + wear_limit / 4 + 4) {
+                let line = base - 64 + 64 * stream.gen_below(LINES + 2);
+                let (a, b) = (fast.on_write(line), full.on_write_full_rule(line));
+                assert_eq!(a, b, "wear_limit {wear_limit}: write {i} to {line:#x}");
+            }
+            assert_eq!(fast.stats, full.stats, "wear_limit {wear_limit}");
+            assert_eq!(fast.rng, full.rng, "wear_limit {wear_limit}: RNG state");
+            for idx in 0..LINES as usize {
+                assert_eq!(fast.wear.get(idx), full.wear.get(idx), "wear_limit {wear_limit}");
+                assert_eq!(fast.wear.get(idx), fast.endurance(base + 64 * idx as u64));
+            }
+            assert!(fast.stats.lines_worn_out == LINES, "every line wears out: {:?}", fast.stats);
+        }
+    }
+
+    #[test]
+    fn wear_floor_bounds_every_soft_zone() {
+        for wear_limit in [1, 2, 9, 10, 11, 40, 4096, 100_000] {
+            let m = MediaFaults::new(
+                MediaFaultConfig { wear_limit, ..MediaFaultConfig::with_seed(3) },
+                0,
+                1 << 20,
+            );
+            let floor = wear_floor(wear_limit);
+            let lowest = (0..4096u64)
+                .map(|i| {
+                    let b = m.endurance(i * 64);
+                    b - b / 10
+                })
+                .min()
+                .unwrap();
+            assert!(floor <= lowest, "wear_limit {wear_limit}: floor {floor} > {lowest}");
+            assert!(floor > 0, "the shortcut must engage at all");
+        }
+        assert_eq!(wear_floor(1), 1);
+        assert_eq!(wear_floor(9), 8);
+        assert_eq!(wear_floor(4096), 3226);
     }
 
     #[test]

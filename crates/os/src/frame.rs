@@ -183,8 +183,15 @@ impl FrameAllocator {
     fn load_bitmap(&mut self, words: &[u64]) {
         assert_eq!(words.len(), self.bitmap.len(), "bitmap size mismatch");
         self.bitmap.copy_from_slice(words);
-        self.allocated = words.iter().map(|w| w.count_ones() as u64).sum();
-        // Mask out bits past `count` defensively.
+        // Mask out bits past `count` defensively: they name no frame, but a
+        // stuck cell in the persisted bitmap can set them.
+        let tail = self.count % 64;
+        if tail != 0 {
+            if let Some(last) = self.bitmap.last_mut() {
+                *last &= (1 << tail) - 1;
+            }
+        }
+        self.allocated = self.bitmap.iter().map(|w| u64::from(w.count_ones())).sum();
         self.free.clear();
         self.next = 0;
     }
@@ -272,9 +279,12 @@ impl PersistentFrameAllocator {
             *w = mem.read_u64(self.bitmap_region.base + i as u64 * 8);
         }
         self.inner.load_bitmap(&loaded);
-        for idx in 0..self.inner.count {
-            if self.inner.bit(idx) {
-                let pfn = self.inner.start + idx;
+        // Walk only the set bits, in ascending frame order.
+        for (w, &word) in self.inner.bitmap.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let pfn = self.inner.start + (w as u64 * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
                 sanitize::emit(|| Event::FrameAlloc { pool: self.inner.pool, pfn: pfn.as_u64() });
             }
         }
@@ -362,6 +372,20 @@ pub fn charge_bitmap_scan(mem: &mut dyn PhysMem, region: Region, words: usize) {
 mod tests {
     use super::*;
     use kindle_types::physmem::FlatMem;
+    use kindle_types::sanitize::{Sanitizer, ThreadId};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Records the frames announced by `FrameAlloc` events.
+    struct Collect(Rc<RefCell<Vec<u64>>>);
+
+    impl Sanitizer for Collect {
+        fn on_event(&mut self, _: ThreadId, ev: &Event) {
+            if let Event::FrameAlloc { pfn, .. } = ev {
+                self.0.borrow_mut().push(*pfn);
+            }
+        }
+    }
 
     #[test]
     fn alloc_free_cycle() {
@@ -427,6 +451,62 @@ mod tests {
             assert_ne!(f, f2);
         }
         assert!(b.alloc(&mut mem).is_err());
+    }
+
+    #[test]
+    fn load_bitmap_ignores_bits_past_the_pool() {
+        let mut a = FrameAllocator::new("nvm", Pfn::new(0), 100);
+        // Word 1 covers frames 64..100; its top 28 bits name no frame.
+        a.load_bitmap(&[0, u64::MAX]);
+        assert_eq!(a.used(), 36, "only the 36 real frames of word 1 count");
+        assert_eq!(a.available(), 64);
+        assert_eq!(a.bitmap_words()[1], (1 << 36) - 1, "stray bits are cleared");
+    }
+
+    #[test]
+    fn recovery_masks_stray_bitmap_bits_read_from_nvm() {
+        let mut mem = FlatMem::new(1 << 20);
+        let region = Region { base: PhysAddr::new(0x1000), size: 0x1000 };
+        let mut a =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(64), 100), region);
+        let f = a.alloc(&mut mem).unwrap();
+        // A stuck cell sets a bit past the pool's last frame in the
+        // persisted copy of the last word.
+        let last = region.base + 8;
+        mem.write_u64(last, 1 << 40);
+        let mut b =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(64), 100), region);
+        let announced = Rc::new(RefCell::new(Vec::new()));
+        let guard = sanitize::install(Box::new(Collect(announced.clone())));
+        b.recover(&mut mem);
+        drop(guard);
+        assert_eq!(b.used(), 1, "the stray bit is no allocated frame");
+        assert_eq!(b.available(), 99);
+        assert_eq!(*announced.borrow(), vec![f.as_u64()], "only real frames are announced");
+    }
+
+    #[test]
+    fn recovery_announces_allocated_frames_in_ascending_order() {
+        let mut mem = FlatMem::new(1 << 20);
+        let region = Region { base: PhysAddr::new(0x1000), size: 0x1000 };
+        let mut a =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(64), 200), region);
+        let frames: Vec<Pfn> = (0..200).map(|_| a.alloc(&mut mem).unwrap()).collect();
+        for (i, &f) in frames.iter().enumerate() {
+            if i % 3 != 0 && i != 63 && i != 64 {
+                a.free(&mut mem, f);
+            }
+        }
+        let want: Vec<u64> =
+            frames.iter().filter(|&&f| a.is_allocated(f)).map(|f| f.as_u64()).collect();
+        let mut b =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(64), 200), region);
+        let announced = Rc::new(RefCell::new(Vec::new()));
+        let guard = sanitize::install(Box::new(Collect(announced.clone())));
+        b.recover(&mut mem);
+        drop(guard);
+        assert_eq!(*announced.borrow(), want);
+        assert_eq!(b.used(), want.len() as u64);
     }
 
     #[test]

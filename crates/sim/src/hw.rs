@@ -75,9 +75,9 @@ impl Hw {
         if res.needs_fill {
             latency += self.mc.access(pa, AccessKind::Read, now);
         }
-        for wb in &res.writebacks {
-            latency += self.mc.access(*wb, AccessKind::Write, now);
-            self.mc.commit_line(*wb);
+        for &wb in res.writebacks.iter() {
+            latency += self.mc.access(wb, AccessKind::Write, now);
+            self.mc.commit_line(wb);
         }
         self.core.advance(latency);
         LineOutcome { latency, llc_miss: res.llc_miss }

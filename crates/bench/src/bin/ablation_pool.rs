@@ -7,7 +7,7 @@ use kindle_core::prelude::*;
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let ops = if quick_mode() { 150_000 } else { 1_000_000 };
+    let ops = if harness.quick() { 150_000 } else { 1_000_000 };
     let kindle = Kindle::prepare_streaming(WorkloadKind::YcsbMem, ops, 42);
     println!("ABLATION: HSCC DRAM pool size (Ycsb_mem, threshold 5, {ops} ops)");
     rule(76);

@@ -11,7 +11,7 @@ use kindle_core::experiments::{run_backend_grid, BackendGridParams};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if quick_mode() { BackendGridParams::quick() } else { BackendGridParams::paper() };
+    let p = if harness.quick() { BackendGridParams::quick() } else { BackendGridParams::paper() };
     println!("BACKENDS x SCHEMES: Fig. 4a persistence grid per far-tier backend");
     rule(76);
     println!(

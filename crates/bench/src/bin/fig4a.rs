@@ -6,7 +6,7 @@ use kindle_core::experiments::{run_fig4a, Fig4aParams};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if quick_mode() { Fig4aParams::quick() } else { Fig4aParams::paper() };
+    let p = if harness.quick() { Fig4aParams::quick() } else { Fig4aParams::paper() };
     println!(
         "FIGURE 4a: sequential alloc+access, checkpoint interval {} ms",
         p.interval.as_millis_f64()
@@ -18,7 +18,7 @@ fn main() -> Result<()> {
     );
     rule(66);
     let rows = run_fig4a(&p)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!(

@@ -5,8 +5,8 @@ use kindle_core::experiments::{run_fig5, Fig5Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let mut p = if quick_mode() { Fig5Params::quick() } else { Fig5Params::paper() };
-    if quick_mode() {
+    let mut p = if harness.quick() { Fig5Params::quick() } else { Fig5Params::paper() };
+    if harness.quick() {
         p.workloads = kindle_core::trace::WorkloadKind::ALL.to_vec();
     }
     println!("FIGURE 5: SSP overhead, normalized to no memory consistency ({} ops)", p.ops);
@@ -17,7 +17,7 @@ fn main() -> Result<()> {
     );
     rule(78);
     let rows = run_fig5(&p)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!(

@@ -6,7 +6,7 @@ use kindle_core::experiments::{run_fig6, Fig6Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if quick_mode() { Fig6Params::quick() } else { Fig6Params::paper() };
+    let p = if harness.quick() { Fig6Params::quick() } else { Fig6Params::paper() };
     println!("FIGURE 6 + TABLES V/VI: HSCC fetch-threshold sweep ({} ops)", p.ops);
     rule(96);
     println!(
@@ -15,7 +15,7 @@ fn main() -> Result<()> {
     );
     rule(96);
     let rows = run_fig6(&p)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!(

@@ -130,7 +130,7 @@ impl Side {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let (pages, chunks) = if quick_mode() { (4096, 6) } else { (8192, 16) };
+    let (pages, chunks) = if harness.quick() { (4096, 6) } else { (8192, 16) };
     let chunk = pages;
 
     let mut flat = Side::build(false, pages)?;

@@ -43,7 +43,7 @@ fn persistence_cell(backend: Backend, mode: PtMode) -> Result<f64> {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let ops = if quick_mode() { 100_000 } else { 1_000_000 };
+    let ops = if harness.quick() { 100_000 } else { 1_000_000 };
     println!("ABLATION: NVM technology sweep");
     println!();
     println!("(a) page-table schemes, 128 MiB sequential benchmark, 10 ms checkpoints");

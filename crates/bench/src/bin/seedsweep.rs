@@ -67,7 +67,7 @@ fn table4_persistent_ms(rows: &[experiments::Table4Row]) -> f64 {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let (p4a, pt4, nseeds) = if quick_mode() {
+    let (p4a, pt4, nseeds) = if harness.quick() {
         (experiments::Fig4aParams::quick(), experiments::Table4Params::quick(), 4u64)
     } else {
         (experiments::Fig4aParams::paper(), experiments::Table4Params::paper(), 16u64)

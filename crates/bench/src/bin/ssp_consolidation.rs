@@ -7,7 +7,7 @@ use kindle_core::trace::WorkloadKind;
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let ops = if quick_mode() { 150_000 } else { 2_000_000 };
+    let ops = if harness.quick() { 150_000 } else { 2_000_000 };
     let sweeps = [1u64, 2, 5, 10];
     println!("ABLATION: SSP consolidation-thread interval (5 ms consistency interval, {ops} ops)");
     rule(70);
@@ -17,7 +17,7 @@ fn main() -> Result<()> {
     );
     rule(70);
     let rows = run_consolidation_sweep(WorkloadKind::YcsbMem, ops, 42, &sweeps)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!(

@@ -120,7 +120,7 @@ fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let stride = if quick_mode() { 64 } else { 1 };
+    let stride = if harness.quick() { 64 } else { 1 };
     let jobs = harness.jobs();
     if harness.verify_replay() {
         verify_all_families(jobs, stride)?;

@@ -26,7 +26,7 @@ impl CsvRow for Table2Row {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let ops = if quick_mode() { 200_000 } else { 10_000_000 };
+    let ops = if harness.quick() { 200_000 } else { 10_000_000 };
     println!("TABLE II: Benchmark Details (measured from generated traces, {ops} ops)");
     rule(60);
     println!("{:<12} | {:>10} | {:>7} | {:>8}", "Benchmark", "Total Ops", "read %", "write %");
@@ -46,7 +46,7 @@ fn main() -> Result<()> {
             write_pct: 100.0 * (ops - reads) as f64 / ops as f64,
         });
     }
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!(

@@ -5,13 +5,13 @@ use kindle_core::experiments::{run_table3, Table3Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if quick_mode() { Table3Params::quick() } else { Table3Params::paper() };
+    let p = if harness.quick() { Table3Params::quick() } else { Table3Params::paper() };
     println!("TABLE III: alloc/free churn on a {} MiB base", p.base_mb);
     rule(58);
     println!("{:>15} | {:>16} | {:>12}", "Alloc/Free Size", "Persistent (ms)", "Rebuild (ms)");
     rule(58);
     let rows = run_table3(&p)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         println!("{:>12} MiB | {:>16} | {:>12}", r.churn_mb, ms(r.persistent_ms), ms(r.rebuild_ms));

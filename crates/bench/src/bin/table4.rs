@@ -5,7 +5,7 @@ use kindle_core::experiments::{run_table4, Table4Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if quick_mode() { Table4Params::quick() } else { Table4Params::paper() };
+    let p = if harness.quick() { Table4Params::quick() } else { Table4Params::paper() };
     println!("TABLE IV: checkpoint-interval sweep ({} MiB base)", p.base_mb);
     rule(70);
     println!(
@@ -14,7 +14,7 @@ fn main() -> Result<()> {
     );
     rule(70);
     let rows = run_table4(&p)?;
-    maybe_csv(&rows);
+    harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {
         let interval = if r.interval_ms >= 1000.0 {

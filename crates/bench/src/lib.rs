@@ -20,6 +20,9 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 /// Fault/sanitizer/parallelism CLI harness shared by the `fig*`/`table*`
 /// binaries.
 ///
+/// * `--quick` selects CI-scale parameters instead of the paper-scale
+///   defaults ([`Harness::quick`]).
+/// * `--csv <path>` makes [`Harness::maybe_csv`] write the rows as CSV.
 /// * `--sanitize` installs the cross-layer [`InvariantChecker`] for the
 ///   whole run; [`Harness::finish`] prints anything it caught and fails
 ///   the binary, so CI notices an experiment that corrupts state even
@@ -73,8 +76,10 @@ pub struct Harness {
     _guard: Option<Installed>,
     log: Option<ViolationLog>,
     jobs: usize,
+    quick: bool,
     stuck: Option<usize>,
     patrol: Option<Cycles>,
+    csv_path: Option<String>,
     json_path: Option<String>,
     plot_path: Option<String>,
     timing_path: Option<String>,
@@ -124,10 +129,12 @@ impl Harness {
     /// value is missing or unparsable.
     pub fn try_from_arg_list(args: &[String]) -> std::result::Result<Self, String> {
         let mut sanitize_requested = false;
+        let mut quick = false;
         let mut fault_seed = None;
         let mut stuck = None;
         let mut patrol = None;
         let mut jobs = None;
+        let mut csv_path = None;
         let mut json_path = None;
         let mut plot_path = None;
         let mut timing_path = None;
@@ -138,7 +145,7 @@ impl Harness {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--sanitize" => sanitize_requested = true,
-                "--quick" => {}
+                "--quick" => quick = true,
                 "--faults" => {
                     let v = it.next().ok_or("--faults requires a u64 seed")?;
                     let seed =
@@ -171,7 +178,7 @@ impl Harness {
                     jobs = Some(n);
                 }
                 "--csv" => {
-                    it.next().ok_or("--csv requires a path")?;
+                    csv_path = Some(it.next().ok_or("--csv requires a path")?.clone());
                 }
                 "--json" => {
                     json_path = Some(it.next().ok_or("--json requires a path")?.clone());
@@ -231,8 +238,10 @@ impl Harness {
             _guard: guard,
             log,
             jobs,
+            quick,
             stuck,
             patrol,
+            csv_path,
             json_path,
             plot_path,
             timing_path,
@@ -246,6 +255,13 @@ impl Harness {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// True if `--quick` was passed (CI-scale parameters instead of the
+    /// paper-scale defaults).
+    #[must_use]
+    pub fn quick(&self) -> bool {
+        self.quick
     }
 
     /// Stuck-cell count requested with `--stuck <N>`, if any.
@@ -284,6 +300,15 @@ impl Harness {
     #[must_use]
     pub fn backend(&self) -> mem::Backend {
         self.backend
+    }
+
+    /// Writes rows as CSV when `--csv <path>` was passed.
+    pub fn maybe_csv<R: kindle_core::experiments::CsvRow>(&self, rows: &[R]) {
+        let Some(path) = &self.csv_path else { return };
+        match std::fs::write(path, kindle_core::experiments::to_csv(rows)) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("csv write failed: {e}"),
+        }
     }
 
     /// Writes rows as JSON when `--json <path>` was passed, wrapped in the
@@ -340,12 +365,6 @@ impl Harness {
     }
 }
 
-/// True if `--quick` was passed (CI-scale parameters instead of the
-/// paper-scale defaults).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Prints a rule line of width `w`.
 pub fn rule(w: usize) {
     println!("{}", "-".repeat(w));
@@ -359,20 +378,6 @@ pub fn ms(v: f64) -> String {
         format!("{v:.1}")
     } else {
         format!("{v:.3}")
-    }
-}
-
-/// Writes rows as CSV when `--csv <path>` was passed.
-pub fn maybe_csv<R: kindle_core::experiments::CsvRow>(rows: &[R]) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        if let Some(path) = args.get(i + 1) {
-            let data = kindle_core::experiments::to_csv(rows);
-            match std::fs::write(path, data) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("csv write failed: {e}"),
-            }
-        }
     }
 }
 
@@ -482,14 +487,22 @@ mod tests {
 
     #[test]
     fn harness_timing_and_verify_replay_are_accessors() {
-        let h = Harness::from_arg_list(&args(&["bin", "--timing", "T.json", "--verify-replay"]));
+        let h = Harness::from_arg_list(&args(&[
+            "bin",
+            "--timing",
+            "T.json",
+            "--verify-replay",
+            "--quick",
+        ]));
         assert_eq!(h.timing_path(), Some("T.json"));
         assert!(h.verify_replay());
+        assert!(h.quick());
         h.finish().unwrap();
 
         let h = Harness::from_arg_list(&args(&["bin"]));
         assert_eq!(h.timing_path(), None);
         assert!(!h.verify_replay());
+        assert!(!h.quick());
         h.finish().unwrap();
     }
 
@@ -541,16 +554,21 @@ mod tests {
         let dir = std::env::temp_dir().join("kindle-bench-envelope-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rows.json");
+        let csv_path = dir.join("rows.csv");
         let h = Harness::from_arg_list(&args(&[
             "bin",
             "--jobs",
             "2",
             "--json",
             path.to_str().unwrap(),
+            "--csv",
+            csv_path.to_str().unwrap(),
         ]));
         let rows =
             vec![experiments::Fig4aRow { size_mb: 64, rebuild_ms: 54.2, persistent_ms: 29.2 }];
         h.maybe_json(&rows);
+        h.maybe_csv(&rows);
+        assert_eq!(std::fs::read_to_string(&csv_path).unwrap(), experiments::to_csv(&rows));
         let data = std::fs::read_to_string(&path).unwrap();
         assert!(data.starts_with("{\n\"jobs\": 2,\n\"elapsed_ms\": "), "{data}");
         assert!(data.contains("\"backend\": \"pcm\""), "envelope must echo the backend: {data}");
@@ -559,6 +577,13 @@ mod tests {
         assert!(data.trim_end().ends_with('}'), "{data}");
         h.finish().unwrap();
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&csv_path).ok();
+
+        // Without --csv nothing is written.
+        let h = Harness::from_arg_list(&args(&["bin"]));
+        h.maybe_csv(&rows);
+        assert!(!csv_path.exists(), "maybe_csv must be inert without --csv");
+        h.finish().unwrap();
     }
 
     #[test]

@@ -4,7 +4,6 @@ use kindle_types::{AccessKind, PhysAddr, CACHE_LINE_SHIFT};
 
 /// Geometry and timing of one cache level.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Human-readable level name ("L1D", "L2", "LLC").
     pub name: String,
@@ -41,7 +40,6 @@ pub struct Eviction {
 
 /// Hit/miss counters for one level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

@@ -7,7 +7,6 @@ use crate::cache::{Cache, CacheConfig, CacheStats};
 /// Configuration of the three levels, defaulting to the paper's gem5 setup
 /// (32 KiB L1, 512 KiB L2, 2 MiB LLC per core).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1: CacheConfig,
@@ -69,7 +68,6 @@ impl std::ops::Deref for Writebacks {
 
 /// Per-level statistics snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyStats {
     /// L1 counters.
     pub l1: CacheStats,

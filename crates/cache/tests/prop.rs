@@ -1,58 +1,67 @@
-//! Property tests — need a vendored `proptest`; enable with `--features proptest`.
-#![cfg(feature = "proptest")]
-
 //! Property tests: the cache hierarchy against reference models.
+//!
+//! Each test draws its cases from a fixed-seed [`Rng64`] and names the
+//! case index and seed in every assertion, so a failure replays by
+//! rerunning the test.
 
-use std::collections::HashSet;
-
-use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 use kindle_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig};
-use kindle_types::{AccessKind, PhysAddr};
+use kindle_types::{AccessKind, PhysAddr, Rng64};
+
+const SEED: u64 = 0x7e57_0003;
 
 fn tiny_cache() -> Cache {
     Cache::new(CacheConfig { name: "T".into(), size_bytes: 8 * 64, assoc: 2, hit_cycles: 1 })
 }
 
-proptest! {
-    /// Occupancy never exceeds capacity, and a line reported evicted was
-    /// genuinely resident before.
-    #[test]
-    fn cache_capacity_and_eviction_sound(lines in prop::collection::vec(0u64..64, 1..200)) {
+/// Occupancy never exceeds capacity, and a line reported evicted was
+/// genuinely resident before.
+#[test]
+fn cache_capacity_and_eviction_sound() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..128 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut c = tiny_cache();
-        let mut resident: HashSet<u64> = HashSet::new();
-        for l in lines {
+        let mut resident: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..rng.gen_range(1, 200) {
+            let l = rng.gen_below(64);
             let pa = PhysAddr::new(l * 64);
             if !c.lookup(pa, AccessKind::Read) {
                 if let Some(ev) = c.insert(pa, false) {
                     let e = ev.line.as_u64() / 64;
-                    prop_assert!(resident.remove(&e), "evicted non-resident line {e}");
+                    assert!(resident.remove(&e), "{ctx}: evicted non-resident line {e}");
                 }
                 resident.insert(l);
             }
-            prop_assert!(c.occupancy() <= 8);
-            prop_assert_eq!(c.occupancy(), resident.len());
+            assert!(c.occupancy() <= 8, "{ctx}");
+            assert_eq!(c.occupancy(), resident.len(), "{ctx}");
             // Every line the model says is resident must probe true.
             for &r in &resident {
-                prop_assert!(c.probe(PhysAddr::new(r * 64)), "lost line {r}");
+                assert!(c.probe(PhysAddr::new(r * 64)), "{ctx}: lost line {r}");
             }
         }
     }
+}
 
-    /// After writeback_all, no dirty lines remain anywhere, and the set of
-    /// written-back lines equals the set of written-but-not-evicted lines.
-    #[test]
-    fn writeback_all_is_complete(ops in prop::collection::vec((0u64..64, any::<bool>()), 1..150)) {
+/// After writeback_all, no dirty lines remain anywhere, and the set of
+/// written-back lines equals the set of written-but-not-evicted lines.
+#[test]
+fn writeback_all_is_complete() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..128 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut c = tiny_cache();
-        let mut dirty: HashSet<u64> = HashSet::new();
-        for (l, write) in ops {
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..rng.gen_range(1, 150) {
+            let l = rng.gen_below(64);
+            let write = rng.gen_below(2) == 1;
             let pa = PhysAddr::new(l * 64);
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            // lookup() on a miss does not set dirty; insert() does.
             if !c.lookup(pa, kind) {
                 if let Some(ev) = c.insert(pa, write) {
                     dirty.remove(&(ev.line.as_u64() / 64));
-                } else if write {
-                    // lookup() on a miss does not set dirty; insert did.
                 }
             }
             if write {
@@ -61,34 +70,41 @@ proptest! {
         }
         let mut wb: Vec<u64> = c.writeback_all().iter().map(|p| p.as_u64() / 64).collect();
         wb.sort_unstable();
-        let mut expect: Vec<u64> = dirty.into_iter().collect();
-        expect.sort_unstable();
-        prop_assert_eq!(wb, expect);
-        prop_assert!(c.writeback_all().is_empty(), "second flush must be empty");
+        let expect: Vec<u64> = dirty.into_iter().collect();
+        assert_eq!(wb, expect, "{ctx}");
+        assert!(c.writeback_all().is_empty(), "{ctx}: second flush must be empty");
     }
+}
 
-    /// Hierarchy: a line is always found after being accessed (until enough
-    /// conflicting traffic), and repeated accesses never report fills.
-    #[test]
-    fn hierarchy_rehit_after_access(addr in 0u64..(1 << 24)) {
+/// Hierarchy: a line is always found right after being accessed, and the
+/// repeated access never reports a fill.
+#[test]
+fn hierarchy_rehit_after_access() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..256 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut h = Hierarchy::new(&HierarchyConfig::default());
-        let pa = PhysAddr::new(addr).line_base();
+        let pa = PhysAddr::new(rng.gen_below(1 << 24)).line_base();
         h.access(pa, AccessKind::Read);
         let again = h.access(pa, AccessKind::Read);
-        prop_assert!(!again.needs_fill);
-        prop_assert!(!again.llc_miss);
+        assert!(!again.needs_fill, "{ctx}");
+        assert!(!again.llc_miss, "{ctx}");
     }
+}
 
-    /// Dirty data is never silently lost: every dirty line either leaves
-    /// via an eviction writeback or is still flushable at the end.
-    #[test]
-    fn hierarchy_conserves_dirty_lines(lines in prop::collection::vec(0u64..40_000, 1..400)) {
+/// Dirty data is never silently lost: every dirty line either leaves via
+/// an eviction writeback or is still flushable at the end.
+#[test]
+fn hierarchy_conserves_dirty_lines() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..32 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut h = Hierarchy::new(&HierarchyConfig::default());
-        let mut written: HashSet<u64> = HashSet::new();
-        let mut written_back: HashSet<u64> = HashSet::new();
-        for l in lines {
-            let pa = PhysAddr::new(l * 64);
-            let res = h.access(pa, AccessKind::Write);
+        let mut written: BTreeSet<u64> = BTreeSet::new();
+        let mut written_back: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..rng.gen_range(1, 400) {
+            let l = rng.gen_below(40_000);
+            let res = h.access(PhysAddr::new(l * 64), AccessKind::Write);
             written.insert(l);
             for wb in res.writebacks.iter() {
                 written_back.insert(wb.as_u64() / 64);
@@ -97,10 +113,7 @@ proptest! {
         for pa in h.writeback_all() {
             written_back.insert(pa.as_u64() / 64);
         }
-        prop_assert_eq!(
-            &written - &written_back,
-            HashSet::new(),
-            "some dirty lines vanished"
-        );
+        let lost: Vec<&u64> = written.difference(&written_back).collect();
+        assert!(lost.is_empty(), "{ctx}: dirty lines vanished: {lost:?}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Walks every Rust source file and `Cargo.toml` in the workspace and
 //! enforces the determinism / persistence rules described in `rules` and
-//! `manifest` (KD001–KD012). Violations print as `path:line: KDnnn message`
+//! `manifest` (KD001–KD013). Violations print as `path:line: KDnnn message`
 //! and make the process exit non-zero; suppressions go through the two
 //! mechanisms in `allow` (inline `// check:allow KDnnn: reason` comments
 //! and the root `check-allowlist.txt`).

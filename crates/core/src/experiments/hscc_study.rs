@@ -12,7 +12,6 @@ use crate::parallel;
 
 /// Parameters for the HSCC sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig6Params {
     /// Operations replayed per benchmark (paper: 10 M).
     pub ops: u64,
@@ -52,7 +51,6 @@ impl Fig6Params {
 
 /// One benchmark × threshold cell: feeds Fig. 6 *and* Tables V and VI.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig6Row {
     /// Benchmark name.
     pub benchmark: String,

@@ -52,7 +52,6 @@ fn read_pages(m: &mut Machine, pid: u32, va: VirtAddr, len: u64) -> Result<()> {
 
 /// Parameters for Fig. 4a.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig4aParams {
     /// Allocation sizes in MiB.
     pub sizes_mb: Vec<u64>,
@@ -94,7 +93,6 @@ impl Fig4aParams {
 
 /// One Fig. 4a data point.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig4aRow {
     /// Allocation size (MiB).
     pub size_mb: u64,
@@ -148,7 +146,6 @@ pub fn run_fig4a(p: &Fig4aParams) -> Result<Vec<Fig4aRow>> {
 
 /// Parameters for Fig. 4b.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig4bParams {
     /// Pages allocated (paper: ten 4 KiB pages).
     pub pages: u64,
@@ -179,7 +176,6 @@ impl Fig4bParams {
 
 /// One Fig. 4b data point.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig4bRow {
     /// Stride label ("1GB", "2MB", "4KB").
     pub stride: String,
@@ -237,7 +233,6 @@ pub fn run_fig4b(p: &Fig4bParams) -> Result<Vec<Fig4bRow>> {
 
 /// Parameters for Table III.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table3Params {
     /// Base allocation (MiB); the paper uses 512.
     pub base_mb: u64,
@@ -273,7 +268,6 @@ impl Table3Params {
 
 /// One Table III row.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table3Row {
     /// Alloc/free size (MiB).
     pub churn_mb: u64,
@@ -344,7 +338,6 @@ pub fn run_table3(p: &Table3Params) -> Result<Vec<Table3Row>> {
 
 /// Parameters for Table IV.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table4Params {
     /// Base allocation (MiB).
     pub base_mb: u64,
@@ -389,7 +382,6 @@ impl Table4Params {
 
 /// One Table IV row.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table4Row {
     /// Alloc/free size (MiB).
     pub churn_mb: u64,

@@ -11,7 +11,6 @@ use crate::parallel;
 
 /// Parameters for Fig. 5.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig5Params {
     /// Operations replayed per benchmark (paper: 10 M).
     pub ops: u64,
@@ -45,7 +44,6 @@ impl Fig5Params {
 
 /// One Fig. 5 bar.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fig5Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -105,7 +103,6 @@ pub fn run_fig5(p: &Fig5Params) -> Result<Vec<Fig5Row>> {
 
 /// One row of the consolidation-interval ablation.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConsolidationRow {
     /// Benchmark name.
     pub benchmark: String,

@@ -7,7 +7,6 @@ use crate::regs::RegisterFile;
 /// What the machine is currently doing; each charged cycle is attributed to
 /// exactly one activity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(usize)]
 pub enum Activity {
     /// Application (user-mode) execution, including its memory stalls.
@@ -66,7 +65,6 @@ impl Activity {
 
 /// Cycles charged per [`Activity`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ActivityBreakdown {
     buckets: [Cycles; Activity::ALL.len()],
 }
@@ -95,7 +93,6 @@ impl ActivityBreakdown {
 
 /// Counters beyond raw time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuStats {
     /// Retired instructions (charged via [`Core::instr`]).
     pub instructions: u64,

@@ -5,7 +5,6 @@ pub const GPR_COUNT: usize = 16;
 
 /// CPU state that must be part of a process's saved execution context.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegisterFile {
     /// General-purpose registers rax..r15.
     pub gpr: [u64; GPR_COUNT],

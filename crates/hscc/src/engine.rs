@@ -10,7 +10,6 @@ use crate::table::MappingTable;
 
 /// HSCC parameters (paper §III-C).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HsccConfig {
     /// DRAM fetch threshold: NVM pages whose per-interval access count
     /// reaches this value migrate to DRAM (paper sweeps 5, 25, 50).
@@ -34,7 +33,6 @@ impl Default for HsccConfig {
 
 /// Counters of migration activity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HsccStats {
     /// Migration intervals executed.
     pub intervals: u64,
@@ -79,7 +77,6 @@ impl HsccStats {
 
 /// Result of one migration interval.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationOutcome {
     /// Candidate pages over the threshold.
     pub candidates: u64,

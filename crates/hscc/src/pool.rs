@@ -21,7 +21,6 @@ struct Slot {
 
 /// Which list a slot was taken from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ListKind {
     /// Never used or released.
     Free,
@@ -33,7 +32,6 @@ pub enum ListKind {
 
 /// Counts of the three lists at a point in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoolSnapshot {
     /// Slots never used or explicitly released.
     pub free: usize,

@@ -341,7 +341,6 @@ const REGISTRY: &[Backend] = &[
 /// configs, snapshots and thread-locals; the behavior lives in the
 /// `&'static dyn MemoryBackend` it resolves to via [`Backend::instance`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backend {
     /// Phase-change memory (the default; Table I timings).
     Pcm,

@@ -7,7 +7,6 @@ pub const GIB: u64 = 1 << 30;
 
 /// DRAM device timing and geometry (DDR4-2400-ish).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramConfig {
     /// Latency of an access that hits the open row of a bank, in ns.
     pub row_hit_ns: u64,
@@ -29,7 +28,6 @@ impl Default for DramConfig {
 /// NVM (PCM) device timing, based on the parameters of Song et al. that the
 /// paper cites for its gem5 PCM interface.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NvmConfig {
     /// Array read latency in ns.
     pub read_ns: u64,
@@ -110,7 +108,6 @@ impl Default for NvmConfig {
 /// cells. All randomness is derived from `seed` through the in-tree
 /// `Rng64`, so a given seed reproduces the exact same fault history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MediaFaultConfig {
     /// Seed for fault placement and transient-failure rolls.
     pub seed: u64,
@@ -151,7 +148,6 @@ impl MediaFaultConfig {
 /// Complete memory-system configuration: device timings plus the physical
 /// layout (which address ranges are DRAM vs. NVM).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemConfig {
     /// DRAM timing/geometry.
     pub dram: DramConfig,

@@ -6,7 +6,6 @@ use crate::config::DramConfig;
 
 /// Per-device DRAM statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramStats {
     /// Accesses that hit an open row.
     pub row_hits: u64,

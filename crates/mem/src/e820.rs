@@ -8,7 +8,6 @@ use kindle_types::{KindleError, MemKind, PhysAddr, Result, PAGE_SIZE};
 
 /// One contiguous physical range and its backing technology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct E820Entry {
     /// First physical address of the range.
     pub base: PhysAddr,
@@ -37,7 +36,6 @@ impl E820Entry {
 
 /// The BIOS memory map: an ordered list of non-overlapping ranges.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct E820Map {
     entries: Vec<E820Entry>,
 }

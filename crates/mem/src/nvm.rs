@@ -10,7 +10,6 @@ use crate::config::{MediaFaultConfig, NvmConfig};
 
 /// Per-device NVM statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NvmStats {
     /// Array reads serviced.
     pub reads: u64,
@@ -163,7 +162,6 @@ pub enum WriteOutcome {
 
 /// Counters for the media-fault model.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MediaStats {
     /// Write attempts that failed transiently (and were retried).
     pub transient_failures: u64,

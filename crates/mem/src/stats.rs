@@ -5,7 +5,6 @@ use crate::nvm::{MediaStats, NvmStats};
 
 /// Roll-up of DRAM and NVM device statistics plus controller counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// DRAM device stats.
     pub dram: DramStats,

@@ -1,12 +1,15 @@
-//! Property tests — need a vendored `proptest`; enable with `--features proptest`.
-#![cfg(feature = "proptest")]
-
 //! Property tests for the memory controller's data and durability planes.
+//!
+//! Each test draws its cases from a fixed-seed [`Rng64`] and names the
+//! case index and seed in every assertion, so a failure replays by
+//! rerunning the test.
 
-use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 use kindle_mem::{MemConfig, MemoryController};
-use kindle_types::{MemKind, PhysAddr};
+use kindle_types::{MemKind, PhysAddr, Rng64};
+
+const SEED: u64 = 0x7e57_0005;
 
 fn mc() -> (MemoryController, u64) {
     let cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
@@ -14,16 +17,18 @@ fn mc() -> (MemoryController, u64) {
     (MemoryController::new(&cfg), nvm_base)
 }
 
-proptest! {
-    /// Arbitrary stores at arbitrary offsets/lengths always read back.
-    #[test]
-    fn stores_read_back(
-        writes in prop::collection::vec((0u64..(8 << 20), prop::collection::vec(any::<u8>(), 1..200)), 1..20)
-    ) {
+/// Arbitrary stores at arbitrary offsets/lengths always read back.
+#[test]
+fn stores_read_back() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..32 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let (mut m, _) = mc();
-        let mut model = std::collections::HashMap::<u64, u8>::new();
-        for (off, data) in &writes {
-            m.store_bytes(PhysAddr::new(*off), data);
+        let mut model = BTreeMap::<u64, u8>::new();
+        for _ in 0..rng.gen_range(1, 20) {
+            let off = rng.gen_below(8 << 20);
+            let data: Vec<u8> = (0..rng.gen_range(1, 200)).map(|_| rng.next_u64() as u8).collect();
+            m.store_bytes(PhysAddr::new(off), &data);
             for (i, b) in data.iter().enumerate() {
                 model.insert(off + i as u64, *b);
             }
@@ -31,26 +36,28 @@ proptest! {
         for (&addr, &expect) in &model {
             let mut buf = [0u8; 1];
             m.load_bytes(PhysAddr::new(addr), &mut buf);
-            prop_assert_eq!(buf[0], expect, "byte at {:#x}", addr);
+            assert_eq!(buf[0], expect, "{ctx}: byte at {addr:#x}");
         }
     }
+}
 
-    /// Crash semantics: committed NVM lines keep their committed value,
-    /// uncommitted lines revert to it, DRAM is wiped — for arbitrary
-    /// interleavings of stores and commits.
-    #[test]
-    fn crash_durability_is_exact(
-        ops in prop::collection::vec((0u64..256, any::<u8>(), any::<bool>()), 1..120)
-    ) {
+/// Crash semantics: committed NVM lines keep their committed value,
+/// uncommitted lines revert to it, DRAM is wiped — for arbitrary
+/// interleavings of stores and commits.
+#[test]
+fn crash_durability_is_exact() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..32 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let (mut m, nvm_base) = mc();
-        // durable[line] and volatile[line] per-line values (one byte used).
-        let mut durable = std::collections::HashMap::<u64, u8>::new();
-        let mut volatile = std::collections::HashMap::<u64, u8>::new();
-        for (line, value, commit) in ops {
+        // Last committed value per NVM line (one byte used).
+        let mut durable = BTreeMap::<u64, u8>::new();
+        for _ in 0..rng.gen_range(1, 120) {
+            let line = rng.gen_below(256);
+            let value = rng.next_u64() as u8;
             let pa = PhysAddr::new(nvm_base + line * 64);
             m.store_bytes(pa, &[value]);
-            volatile.insert(line, value);
-            if commit {
+            if rng.gen_below(2) == 1 {
                 m.commit_line(pa);
                 durable.insert(line, value);
             }
@@ -61,26 +68,26 @@ proptest! {
         for line in 0..256u64 {
             let mut buf = [0u8; 1];
             m.load_bytes(PhysAddr::new(nvm_base + line * 64), &mut buf);
-            prop_assert_eq!(
-                buf[0],
-                durable.get(&line).copied().unwrap_or(0),
-                "nvm line {} after crash", line
-            );
+            let want = durable.get(&line).copied().unwrap_or(0);
+            assert_eq!(buf[0], want, "{ctx}: nvm line {line} after crash");
             m.load_bytes(PhysAddr::new(line * 64), &mut buf);
-            prop_assert_eq!(buf[0], 0, "dram line {} must be wiped", line);
+            assert_eq!(buf[0], 0, "{ctx}: dram line {line} must be wiped");
         }
-        let _ = volatile;
     }
+}
 
-    /// The e820 map classifies every address into exactly one range.
-    #[test]
-    fn layout_dispatch_total(addr in 0u64..(32 << 20)) {
-        let (m, nvm_base) = mc();
-        let kind = m.kind_of(PhysAddr::new(addr)).unwrap();
-        if addr < nvm_base {
-            prop_assert_eq!(kind, MemKind::Dram);
-        } else {
-            prop_assert_eq!(kind, MemKind::Nvm);
-        }
+/// The e820 map classifies every address into exactly one range.
+#[test]
+fn layout_dispatch_total() {
+    let mut rng = Rng64::new(SEED);
+    let (m, nvm_base) = mc();
+    for case in 0..256 {
+        let addr = rng.gen_below(32 << 20);
+        let want = if addr < nvm_base { MemKind::Dram } else { MemKind::Nvm };
+        assert_eq!(
+            m.kind_of(PhysAddr::new(addr)).unwrap(),
+            want,
+            "case {case}, seed {SEED:#x}: address {addr:#x}"
+        );
     }
 }

@@ -8,7 +8,6 @@
 
 /// Instruction counts (1 cycle each on the in-order core) per routine.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelCosts {
     /// System-call entry/exit (mode switch, dispatch).
     pub syscall_entry: u64,

@@ -57,7 +57,6 @@ impl KernelConfig {
 
 /// Counters of kernel activity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelStats {
     /// `mmap` calls served.
     pub mmaps: u64,

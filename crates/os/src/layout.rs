@@ -9,7 +9,6 @@ use kindle_types::{MemKind, PhysAddr, PAGE_SIZE};
 
 /// One contiguous reserved physical region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Region {
     /// First byte of the region.
     pub base: PhysAddr,
@@ -36,7 +35,6 @@ impl Region {
 
 /// Carve-up of the NVM range into persistent metadata regions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NvmLayout {
     /// Frame-allocator persistence bitmap (1 bit per general NVM frame).
     pub alloc_bitmap: Region,

@@ -9,7 +9,6 @@ use kindle_types::{MemKind, Pfn, Prot, VirtAddr, Vpn};
 
 /// One metadata modification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MetaRecord {
     /// A process was created.
     ProcessCreate {

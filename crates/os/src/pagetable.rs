@@ -28,7 +28,6 @@ use crate::layout::Region;
 
 /// Page-table maintenance scheme (paper §III-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PtMode {
     /// DRAM-hosted tables, plain stores, rebuilt after crash.
     Rebuild,

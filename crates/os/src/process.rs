@@ -7,7 +7,6 @@ use crate::vma::VmaList;
 
 /// Scheduling/persistence state of a process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProcState {
     /// Runnable.
     Ready,

@@ -42,7 +42,6 @@ pub enum KThreadKind {
 /// via [`Scheduler::register_daemon`]; a kind whose engine is not
 /// configured (e.g. `Checkpoint` without checkpointing) is skipped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DaemonKind {
     /// `ckptd`: periodic checkpoint flushes.
     Checkpoint,

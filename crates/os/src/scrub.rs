@@ -59,7 +59,6 @@ pub struct ScrubPassOutcome {
 
 /// Cumulative scrubd counters, reported through `SimReport`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScrubStats {
     /// Verify passes completed.
     pub passes: u64,
@@ -140,7 +139,6 @@ pub struct PatrolPassOutcome {
 
 /// Cumulative patrold counters, reported through `SimReport`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PatrolStats {
     /// Patrol batches completed.
     pub passes: u64,

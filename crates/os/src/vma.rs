@@ -5,7 +5,6 @@ use kindle_types::{KindleError, MapFlags, MemKind, Prot, Result, VirtAddr, PAGE_
 /// One virtual memory area. Kindle tags each VMA as DRAM or NVM based on the
 /// `MAP_NVM` flag; demand paging allocates frames from the matching pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vma {
     /// Inclusive start (page aligned).
     pub start: VirtAddr,
@@ -51,7 +50,6 @@ pub const USER_TOP: VirtAddr = VirtAddr::new(0x7fff_ffff_f000);
 
 /// A sorted, non-overlapping list of VMAs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VmaList {
     vmas: Vec<Vma>,
 }

@@ -1,151 +1,138 @@
-//! Property tests — need a vendored `proptest`; enable with `--features proptest`.
-#![cfg(feature = "proptest")]
-
 //! Property tests: VMA list, frame allocator and page-table invariants
 //! checked against simple reference models.
+//!
+//! Each test draws its cases from a fixed-seed [`Rng64`] and names the
+//! case index and seed in every assertion, so a failure replays by
+//! rerunning the test.
 
-use std::collections::{HashMap, HashSet};
-
-use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 use kindle_os::{
     AddressSpace, FrameAllocator, FramePools, KernelCosts, PersistentFrameAllocator, PtMode,
     Region, Vma, VmaList,
 };
 use kindle_types::physmem::FlatMem;
-use kindle_types::{MemKind, Pfn, PhysAddr, Prot, VirtAddr, PAGE_SIZE};
+use kindle_types::{MemKind, Pfn, PhysAddr, Prot, Rng64, VirtAddr, PAGE_SIZE};
 
 const P: u64 = PAGE_SIZE as u64;
+const SEED: u64 = 0x7e57_0006;
 
-/// VMA operations we fuzz.
-#[derive(Clone, Debug)]
-enum VmaOp {
-    Insert { start_page: u64, pages: u64 },
-    Remove { start_page: u64, pages: u64 },
+fn coin(rng: &mut Rng64) -> bool {
+    rng.gen_below(2) == 1
 }
 
-fn vma_ops() -> impl Strategy<Value = Vec<VmaOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u64..64, 1u64..16).prop_map(|(s, p)| VmaOp::Insert { start_page: s, pages: p }),
-            (0u64..64, 1u64..16).prop_map(|(s, p)| VmaOp::Remove { start_page: s, pages: p }),
-        ],
-        0..40,
-    )
-}
-
-proptest! {
-    /// The VMA list always stays sorted and non-overlapping, and `find`
-    /// agrees with a per-page reference model.
-    #[test]
-    fn vma_list_matches_page_model(ops in vma_ops()) {
+/// The VMA list always stays sorted and non-overlapping, and `find`
+/// agrees with a per-page reference model under random inserts and
+/// removes of `[start_page, start_page + pages)`.
+#[test]
+fn vma_list_matches_page_model() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..64 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut list = VmaList::new();
-        let mut model: HashSet<u64> = HashSet::new(); // mapped page numbers
-        for op in ops {
-            match op {
-                VmaOp::Insert { start_page, pages } => {
-                    let vma = Vma {
-                        start: VirtAddr::new(start_page * P),
-                        end: VirtAddr::new((start_page + pages) * P),
-                        prot: Prot::RW,
-                        kind: MemKind::Dram,
-                    };
-                    if list.insert(vma).is_ok() {
-                        for p in start_page..start_page + pages {
-                            model.insert(p);
-                        }
-                    }
+        let mut model: BTreeSet<u64> = BTreeSet::new(); // mapped page numbers
+        for _ in 0..rng.gen_below(40) {
+            let insert = coin(&mut rng);
+            let start_page = rng.gen_below(64);
+            let pages = rng.gen_range(1, 16);
+            let (start, end) =
+                (VirtAddr::new(start_page * P), VirtAddr::new((start_page + pages) * P));
+            if insert {
+                let vma = Vma { start, end, prot: Prot::RW, kind: MemKind::Dram };
+                if list.insert(vma).is_ok() {
+                    model.extend(start_page..start_page + pages);
                 }
-                VmaOp::Remove { start_page, pages } => {
-                    list.remove(
-                        VirtAddr::new(start_page * P),
-                        VirtAddr::new((start_page + pages) * P),
-                    );
-                    for p in start_page..start_page + pages {
-                        model.remove(&p);
-                    }
+            } else {
+                list.remove(start, end);
+                for p in start_page..start_page + pages {
+                    model.remove(&p);
                 }
             }
             // Invariant: sorted & disjoint.
             let vmas: Vec<&Vma> = list.iter().collect();
             for w in vmas.windows(2) {
-                prop_assert!(w[0].end <= w[1].start, "vmas overlap or unsorted");
+                assert!(w[0].end <= w[1].start, "{ctx}: vmas overlap or unsorted");
             }
             // find() agrees with the model on every page.
             for p in 0..90u64 {
-                prop_assert_eq!(
+                assert_eq!(
                     list.find(VirtAddr::new(p * P)).is_some(),
                     model.contains(&p),
-                    "page {} disagreement", p
+                    "{ctx}: page {p} disagreement"
                 );
             }
-            prop_assert_eq!(list.total_bytes(), model.len() as u64 * P);
+            assert_eq!(list.total_bytes(), model.len() as u64 * P, "{ctx}");
         }
     }
+}
 
-    /// The frame allocator never double-allocates and its counters always
-    /// balance, under arbitrary alloc/free interleavings.
-    #[test]
-    fn frame_allocator_never_double_allocates(script in prop::collection::vec(any::<bool>(), 1..200)) {
+/// The frame allocator never double-allocates and its counters always
+/// balance, under arbitrary alloc/free interleavings.
+#[test]
+fn frame_allocator_never_double_allocates() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..64 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut a = FrameAllocator::new("dram", Pfn::new(100), 64);
         let mut live: Vec<Pfn> = Vec::new();
-        for alloc in script {
-            if alloc {
+        for _ in 0..rng.gen_range(1, 200) {
+            if coin(&mut rng) {
                 match a.alloc() {
                     Ok(f) => {
-                        prop_assert!(!live.contains(&f), "frame {f} handed out twice");
-                        prop_assert!(a.contains(f));
+                        assert!(!live.contains(&f), "{ctx}: frame {f} handed out twice");
+                        assert!(a.contains(f), "{ctx}: frame {f}");
                         live.push(f);
                     }
-                    Err(_) => prop_assert_eq!(live.len(), 64, "spurious OOM"),
+                    Err(_) => assert_eq!(live.len(), 64, "{ctx}: spurious OOM"),
                 }
             } else if let Some(f) = live.pop() {
                 a.free(f);
             }
-            prop_assert_eq!(a.used(), live.len() as u64);
-            prop_assert_eq!(a.available(), 64 - live.len() as u64);
+            assert_eq!(a.used(), live.len() as u64, "{ctx}");
+            assert_eq!(a.available(), 64 - live.len() as u64, "{ctx}");
         }
     }
+}
 
-    /// Persistent-allocator recovery reproduces exactly the live set.
-    #[test]
-    fn persistent_allocator_recovery_is_exact(script in prop::collection::vec(any::<bool>(), 1..120)) {
+/// Persistent-allocator recovery reproduces exactly the live set.
+#[test]
+fn persistent_allocator_recovery_is_exact() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..64 {
+        let ctx = format!("case {case}, seed {SEED:#x}");
         let mut mem = FlatMem::new(1 << 20);
         let region = Region { base: PhysAddr::new(0x4000), size: 0x1000 };
-        let mut a = PersistentFrameAllocator::new(
-            FrameAllocator::new("nvm", Pfn::new(32), 64),
-            region,
-        );
-        let mut live: HashSet<Pfn> = HashSet::new();
-        for alloc in script {
-            if alloc {
+        let mut a =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(32), 64), region);
+        let mut live: BTreeSet<Pfn> = BTreeSet::new();
+        for _ in 0..rng.gen_range(1, 120) {
+            if coin(&mut rng) {
                 if let Ok(f) = a.alloc(&mut mem) {
                     live.insert(f);
                 }
-            } else if let Some(&f) = live.iter().next() {
-                live.remove(&f);
+            } else if let Some(f) = live.pop_first() {
                 a.free(&mut mem, f);
             }
         }
         // "Reboot" and recover.
-        let mut b = PersistentFrameAllocator::new(
-            FrameAllocator::new("nvm", Pfn::new(32), 64),
-            region,
-        );
+        let mut b =
+            PersistentFrameAllocator::new(FrameAllocator::new("nvm", Pfn::new(32), 64), region);
         b.recover(&mut mem);
-        prop_assert_eq!(b.used(), live.len() as u64);
-        for f in 32..96u64 {
-            prop_assert_eq!(b.is_allocated(Pfn::new(f)), live.contains(&Pfn::new(f)));
+        assert_eq!(b.used(), live.len() as u64, "{ctx}");
+        for f in (32..96u64).map(Pfn::new) {
+            assert_eq!(b.is_allocated(f), live.contains(&f), "{ctx}: frame {f}");
         }
     }
+}
 
-    /// Page-table map/unmap agrees with a HashMap model: translate returns
-    /// exactly the mapped frames, for random sparse layouts in both modes.
-    #[test]
-    fn page_table_matches_model(
-        pages in prop::collection::vec((0u64..1 << 20, 0u64..512), 1..50),
-        persistent in any::<bool>(),
-    ) {
+/// Page-table map/unmap agrees with a map model: translate returns
+/// exactly the mapped frames, for random sparse layouts in both modes.
+#[test]
+fn page_table_matches_model() {
+    let mut rng = Rng64::new(SEED);
+    for case in 0..24 {
+        let persistent = coin(&mut rng);
+        let ctx = format!("case {case}, seed {SEED:#x}, persistent {persistent}");
         let mut mem = FlatMem::new(24 << 20);
         let mut pools = FramePools {
             dram: FrameAllocator::new("dram", Pfn::new(16), 2048),
@@ -160,38 +147,39 @@ proptest! {
         let mut asp = AddressSpace::new(&mut mem, &mut pools, mode, log).unwrap();
 
         // vpn -> data frame (data frames faked from a disjoint range).
-        let mut model: HashMap<u64, Pfn> = HashMap::new();
-        for (i, &(vpn_seed, _)) in pages.iter().enumerate() {
-            let vpn = vpn_seed | 0x100000; // keep away from null
+        let mut model: BTreeMap<u64, Pfn> = BTreeMap::new();
+        for i in 0..rng.gen_range(1, 50) {
+            let vpn = rng.gen_below(1 << 20) | 0x100000; // keep away from null
             let va = VirtAddr::new(vpn * P);
-            let frame = Pfn::new(0x200_0000 + i as u64);
+            let frame = Pfn::new(0x200_0000 + i);
+            let mapped = asp.map(&mut mem, &mut pools, &costs, va, frame, 0);
             if model.contains_key(&vpn) {
-                prop_assert!(asp.map(&mut mem, &mut pools, &costs, va, frame, 0).is_err());
+                assert!(mapped.is_err(), "{ctx}: vpn {vpn:#x} mapped twice");
             } else {
-                asp.map(&mut mem, &mut pools, &costs, va, frame, 0).unwrap();
+                mapped.unwrap();
                 model.insert(vpn, frame);
             }
         }
-        prop_assert_eq!(asp.mapped_pages(), model.len() as u64);
+        assert_eq!(asp.mapped_pages(), model.len() as u64, "{ctx}");
         for (&vpn, &frame) in &model {
             let pte = asp.translate(&mut mem, VirtAddr::new(vpn * P));
-            prop_assert_eq!(pte.map(|p| p.pfn()), Some(frame));
+            assert_eq!(pte.map(|p| p.pfn()), Some(frame), "{ctx}: vpn {vpn:#x}");
         }
         // Unmap half; the rest must stay intact and tables reclaim cleanly.
         let keys: Vec<u64> = model.keys().copied().collect();
         for &vpn in keys.iter().step_by(2) {
             let pte = asp.unmap(&mut mem, &mut pools, &costs, VirtAddr::new(vpn * P)).unwrap();
-            prop_assert_eq!(pte.pfn(), model.remove(&vpn).unwrap());
+            assert_eq!(pte.pfn(), model.remove(&vpn).unwrap(), "{ctx}: vpn {vpn:#x}");
         }
         for (&vpn, &frame) in &model {
             let pte = asp.translate(&mut mem, VirtAddr::new(vpn * P));
-            prop_assert_eq!(pte.map(|p| p.pfn()), Some(frame), "survivor vpn {:#x}", vpn);
+            assert_eq!(pte.map(|p| p.pfn()), Some(frame), "{ctx}: survivor vpn {vpn:#x}");
         }
         // for_each_leaf enumerates exactly the model.
-        let mut seen = HashMap::new();
+        let mut seen = BTreeMap::new();
         asp.for_each_leaf(&mut mem, |_, vpn, pte, _| {
             seen.insert(vpn.as_u64(), pte.pfn());
         });
-        prop_assert_eq!(seen, model);
+        assert_eq!(seen, model, "{ctx}");
     }
 }

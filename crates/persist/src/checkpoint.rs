@@ -26,7 +26,6 @@ pub type CheckpointScheme = PtMode;
 
 /// Counters kept by the engine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CheckpointStats {
     /// Checkpoints completed.
     pub checkpoints: u64,

@@ -26,7 +26,6 @@ use crate::slot::{SavedContext, SavedStateArea, SlotHandle};
 
 /// Summary of a completed recovery.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecoveryReport {
     /// Pids successfully recovered.
     pub recovered_pids: Vec<u32>,

@@ -12,7 +12,6 @@ use kindle_types::Cycles;
 
 /// Process-persistence (checkpoint engine) setup.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CheckpointSetup {
     /// Checkpoint interval (paper default 10 ms, after Aurora).
     pub interval: Cycles,
@@ -28,7 +27,6 @@ impl Default for CheckpointSetup {
 
 /// Full machine configuration.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Memory devices and physical layout (Table I).
     pub mem: MemConfig,

@@ -26,7 +26,6 @@ use crate::report::SimReport;
 
 /// Options for a trace replay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplayOptions {
     /// Wrap the replay in an SSP failure-atomic section
     /// (`checkpoint_start` / `checkpoint_end`).
@@ -37,7 +36,6 @@ pub struct ReplayOptions {
 
 /// Summary of one replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplayReport {
     /// Operations replayed.
     pub ops: u64,

@@ -14,7 +14,6 @@ use crate::machine::Machine;
 
 /// One snapshot of every counter in the machine.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimReport {
     /// Total simulated time.
     pub total_cycles: Cycles,

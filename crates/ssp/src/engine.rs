@@ -12,7 +12,6 @@ use crate::cache::SspCache;
 
 /// SSP engine parameters (paper §III-B).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SspConfig {
     /// Consistency interval (paper sweeps 1, 5, 10 ms).
     pub consistency_interval: Cycles,
@@ -31,7 +30,6 @@ impl Default for SspConfig {
 
 /// SSP activity counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SspStats {
     /// Pages registered (original+shadow pairs created).
     pub pages_registered: u64,

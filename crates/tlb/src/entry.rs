@@ -10,7 +10,6 @@ use kindle_types::{MemKind, Pfn, PhysAddr, Vpn};
 /// written inside the current consistency interval — those writes were
 /// routed to the non-current page and will be committed at interval end.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SspTlbExt {
     /// The shadow (supplementary) physical frame paired with the entry.
     pub shadow_pfn: Pfn,
@@ -55,7 +54,6 @@ impl SspTlbExt {
 
 /// One translation with Kindle's hardware extensions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlbEntry {
     /// Virtual page number.
     pub vpn: Vpn,

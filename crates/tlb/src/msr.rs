@@ -8,7 +8,6 @@ use kindle_types::{PhysAddr, VirtAddr};
 
 /// The machine's MSR file (only the Kindle-specific registers).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsrFile {
     /// Start of the virtual range mapped to NVM (SSP consistency applies
     /// only inside this range). `None` disables the SSP hardware path.

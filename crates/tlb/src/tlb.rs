@@ -6,7 +6,6 @@ use crate::entry::TlbEntry;
 
 /// Geometry/timing of one TLB level.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlbConfig {
     /// Total entries.
     pub entries: usize,
@@ -36,7 +35,6 @@ impl TlbConfig {
 
 /// Hit/miss counters for one TLB level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TlbStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -194,7 +192,6 @@ impl Tlb {
 
 /// Configuration of the L1+L2 TLB stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoLevelTlbConfig {
     /// First-level (fast, small) TLB.
     pub l1: TlbConfig,

@@ -10,7 +10,6 @@ use crate::record::AreaId;
 
 /// What kind of area this is in the original process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AreaKind {
     /// Heap allocation (malloc arena, mmap'd data).
     Heap,
@@ -20,7 +19,6 @@ pub enum AreaKind {
 
 /// One named memory area.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Area {
     /// Table index.
     pub id: AreaId,
@@ -43,7 +41,6 @@ impl Area {
 
 /// The ordered area table of a trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryLayout {
     areas: Vec<Area>,
 }

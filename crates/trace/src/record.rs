@@ -4,13 +4,11 @@ use kindle_types::AccessKind;
 
 /// Index into the trace's area table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaId(pub u16);
 
 /// One memory operation of the traced application, exactly the tuple the
 /// paper's image generator emits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Time of the access in the original execution (ns from start).
     pub period: u64,

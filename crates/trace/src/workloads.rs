@@ -30,7 +30,6 @@ const PERIOD_GAP_NS: u64 = 30;
 
 /// Which benchmark to generate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadKind {
     /// GAP benchmark suite PageRank.
     GapbsPr,
@@ -121,7 +120,6 @@ impl std::str::FromStr for WorkloadKind {
 
 /// A Table II row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSpec {
     /// Benchmark name as printed in the paper.
     pub name: &'static str,

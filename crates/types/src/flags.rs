@@ -5,7 +5,6 @@ use core::ops::{BitOr, BitOrAssign};
 
 /// Which memory technology backs a page: volatile DRAM or non-volatile NVM.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemKind {
     /// Volatile DRAM (fast, loses contents on power failure).
     Dram,
@@ -34,7 +33,6 @@ impl fmt::Display for MemKind {
 
 /// Whether a memory operation reads or writes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -61,7 +59,6 @@ impl fmt::Display for AccessKind {
 
 /// Page protection bits requested through `mmap`/`mprotect`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Prot(u8);
 
 impl Prot {
@@ -120,7 +117,6 @@ impl BitOrAssign for Prot {
 /// assert!(!f.contains(MapFlags::FIXED));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MapFlags(u32);
 
 impl MapFlags {

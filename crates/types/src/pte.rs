@@ -31,7 +31,6 @@ pub fn pte_addr(table: Pfn, va: VirtAddr, level: u8) -> PhysAddr {
 
 /// A 64-bit page-table entry.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pte(u64);
 
 impl Pte {

@@ -24,7 +24,6 @@ pub const CPU_FREQ_GHZ: u64 = 3;
 /// assert_eq!(lat.as_nanos(), 150);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(u64);
 
 impl Cycles {

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release
 
+echo "== every target and feature builds offline =="
+cargo check --workspace --all-targets --all-features --offline
+
 echo "== tests (workspace) =="
 cargo test --workspace -q
 

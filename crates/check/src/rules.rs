@@ -100,6 +100,7 @@ const NVM_PRIMITIVES: &[(&str, &[&str])] = &[
     ("reset_log_head", &["LogTruncate"]),
     ("flip_valid_copy", &["CheckpointPublish"]),
     ("page_mut", &["NvmWrite", "ScrubCorrect", "ScrubDetect", "PatrolCorrect"]),
+    ("resident_page_mut", &["NvmWrite", "ScrubCorrect", "ScrubDetect", "PatrolCorrect"]),
     ("record_line_checksum", &["NvmWrite", "PatrolCorrect"]),
 ];
 

@@ -29,7 +29,7 @@ use crate::dram::DramDevice;
 use crate::e820::E820Map;
 use crate::nvm::{CorrectionOutcome, MediaFaults, NvmDevice, WriteOutcome};
 use crate::stats::MemStats;
-use crate::store::{FrameSet, PageBox, PageStore, SumStore, UndoStore};
+use crate::store::{is_zero, FrameSet, PageBox, PageStore, SumStore, UndoStore};
 
 /// Checksum of an all-zero line. The kernel zero-fills every new frame
 /// and initialises persistent page-table pages line by line, so most
@@ -357,6 +357,16 @@ impl MemoryController {
         &mut self.mru.as_mut().expect("mru slot just filled").1
     }
 
+    /// The page's bytes for writing, if it has a stored image. Never
+    /// creates a page: callers that only write zeros use it, since a page
+    /// with no stored image already reads as zero.
+    fn resident_page_mut(&mut self, pfn: u64) -> Option<&mut [u8; PAGE_SIZE]> {
+        match &mut self.mru {
+            Some((cached, page)) if *cached == pfn => Some(page),
+            _ => self.pages.get_mut(pfn),
+        }
+    }
+
     /// The page's bytes, if it was ever touched (MRU slot first).
     fn page_ref(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE]> {
         if let Some((cached, page)) = &self.mru {
@@ -428,11 +438,20 @@ impl MemoryController {
         }
         let mut addr = pa.as_u64();
         let mut done = 0usize;
+        let mut zeroed = false;
         while done < data.len() {
             let pfn = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk = (PAGE_SIZE - off).min(data.len() - done);
-            self.page_mut(pfn)[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
+            let src = &data[done..done + chunk];
+            if !is_zero(src) {
+                self.page_mut(pfn)[off..off + chunk].copy_from_slice(src);
+            } else if let Some(page) = self.resident_page_mut(pfn) {
+                // Zeros need no page; one that has an image may now be
+                // all zero (a cleared PTE, an emptied bitmap word).
+                page[off..off + chunk].fill(0);
+                zeroed = true;
+            }
             done += chunk;
             addr += chunk as u64;
         }
@@ -448,6 +467,40 @@ impl MemoryController {
                 line += 64;
             }
         }
+        if zeroed {
+            let mut pfn = first >> PAGE_SHIFT;
+            while pfn <= last >> PAGE_SHIFT {
+                self.release_if_zero(pfn, (last + 64) as usize);
+                pfn += 1;
+            }
+        }
+    }
+
+    /// Drops the stored image of page frame `pfn` if every byte of it is
+    /// zero (stuck 1-bits keep a page resident). Loads read such a page as
+    /// zero either way; dropping it keeps snapshots and clones small. The
+    /// page is checked a line at a time from offset `from` round to it,
+    /// stopping at the first non-zero line. Callers that just zeroed some
+    /// bytes start just past them, where live data usually is (the PTE
+    /// after the one cleared), so a page that still holds data costs one
+    /// line.
+    fn release_if_zero(&mut self, pfn: u64, from: usize) {
+        let zero = |page: &[u8; PAGE_SIZE]| {
+            let (head, tail) = page.split_at((from % PAGE_SIZE) & !63);
+            tail.chunks_exact(64).chain(head.chunks_exact(64)).all(is_zero)
+        };
+        if self.mru.as_ref().is_some_and(|(cached, page)| *cached == pfn && zero(page)) {
+            self.mru = None;
+        } else if self.pages.get(pfn).is_some_and(zero) {
+            self.pages.remove(pfn);
+        }
+    }
+
+    /// Number of pages holding a stored image (MRU slot included). For
+    /// tests of the zero-page rule.
+    #[doc(hidden)]
+    pub fn resident_pages(&self) -> usize {
+        self.pages.page_count() + usize::from(self.mru.is_some())
     }
 
     /// Records the line's current stored content as its reference checksum
@@ -499,8 +552,17 @@ impl MemoryController {
             let pfn = byte_addr >> PAGE_SHIFT;
             let off = (byte_addr & (PAGE_SIZE as u64 - 1)) as usize;
             let mask = 1u8 << (bit % 8);
-            let b = &mut self.page_mut(pfn)[off];
-            *b = if val { *b | mask } else { *b & !mask };
+            if val {
+                self.page_mut(pfn)[off] |= mask;
+            } else if let Some(page) = self.resident_page_mut(pfn) {
+                // A stuck-at-0 cell in a page with no image changes nothing;
+                // one that clears a set bit may leave the page all zero.
+                let set = page[off] & mask != 0;
+                page[off] &= !mask;
+                if set {
+                    self.release_if_zero(pfn, off);
+                }
+            }
         }
     }
 
@@ -592,6 +654,9 @@ impl MemoryController {
             let pfn = line >> PAGE_SHIFT;
             let off = (line & (PAGE_SIZE as u64 - 1)) as usize;
             self.page_mut(pfn)[off..off + 64].copy_from_slice(&candidate);
+            if is_zero(&candidate) {
+                self.release_if_zero(pfn, off);
+            }
             sanitize::emit(|| Event::PatrolCorrect { line });
             return true;
         }
@@ -626,6 +691,9 @@ impl MemoryController {
         sanitize::emit(|| Event::ScrubDetect { line });
         let b = &mut self.page_mut(pfn)[off];
         *b = if stuck_val { *b | mask } else { *b & !mask };
+        if !stuck_val {
+            self.release_if_zero(pfn, off);
+        }
         true
     }
 
@@ -763,9 +831,16 @@ impl MemoryController {
     fn restore_line(&mut self, line: u64, image: &[u8; 64], rehash: bool) {
         let pfn = line >> PAGE_SHIFT;
         let off = (line & (PAGE_SIZE as u64 - 1)) as usize;
-        // check:allow KD009: crash rollback restores the durable image; the
-        // callers emit Event::Crash and the sanitizer resets write tracking.
-        self.page_mut(pfn)[off..off + 64].copy_from_slice(image);
+        if !is_zero(image) {
+            // check:allow KD009: crash rollback restores the durable image; the
+            // callers emit Event::Crash and the sanitizer resets write tracking.
+            self.page_mut(pfn)[off..off + 64].copy_from_slice(image);
+        } else if let Some(page) = self.resident_page_mut(pfn) {
+            // A zero image needs no page; one that has an image may now be
+            // all zero.
+            page[off..off + 64].fill(0);
+            self.release_if_zero(pfn, off + 64);
+        }
         if rehash && self.nvm_sums.contains(line) {
             // check:allow KD009: same crash-rollback context as above.
             self.record_line_checksum(line);
@@ -1416,6 +1491,44 @@ mod tests {
         let mut buf = vec![0u8; 64];
         m.load_bytes(pa, &mut buf);
         assert_eq!(buf, data, "erasure decode over three suspect bits");
+    }
+
+    #[test]
+    fn patrol_heal_and_degrade_drop_pages_they_leave_zero() {
+        let (mut m, pa) = mc_with_media(2);
+        // Drift sets a bit of a zero line: the page now holds data.
+        m.store_bytes(pa, &[0u8; 64]);
+        m.commit_line(pa);
+        assert_eq!(m.resident_pages(), 0);
+        assert!(m.degrade_line_bit(pa.as_u64(), 3));
+        assert_eq!(m.resident_pages(), 1);
+        // The heal writes the zero line back, leaving nothing to store.
+        assert_eq!(m.patrol_frame(pa.as_u64()), PatrolOutcome::Healed { lines: 1 });
+        assert_eq!(m.resident_pages(), 0);
+
+        // Drift clears the only set bit of a page.
+        let next = pa + 4096;
+        let mut line = [0u8; 64];
+        line[0] = 1 << 5;
+        m.store_bytes(next, &line);
+        m.commit_line(next);
+        assert_eq!(m.resident_pages(), 1);
+        assert!(m.degrade_line_bit(next.as_u64(), 5));
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn stuck_at_zero_cell_drops_a_page_it_leaves_zero() {
+        let (mut m, pa) = mc_with_media(0);
+        m.media_mut().unwrap().add_stuck_cell(pa.as_u64(), 5, false);
+        // The store's only set bit lands on the stuck cell.
+        let mut line = [0u8; 64];
+        line[0] = 1 << 5;
+        m.store_bytes(pa, &line);
+        let mut buf = [0xffu8; 64];
+        m.load_bytes(pa, &mut buf);
+        assert_eq!(buf, [0u8; 64]);
+        assert_eq!(m.resident_pages(), 0);
     }
 
     #[test]

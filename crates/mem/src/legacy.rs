@@ -25,6 +25,14 @@ impl LegacyPages {
         self.map.get(&pfn).map(|p| &**p)
     }
 
+    pub fn get_mut(&mut self, pfn: u64) -> Option<&mut [u8; PAGE_SIZE]> {
+        self.map.get_mut(&pfn).map(|p| &mut **p)
+    }
+
+    pub fn page_count(&self) -> usize {
+        self.map.len()
+    }
+
     pub fn get_mut_or_alloc(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE] {
         self.map.entry(pfn).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }

@@ -77,8 +77,20 @@ impl PageArena {
         &mut chunk[pfn as usize % PAGES_PER_CHUNK]
     }
 
+    pub fn get_mut(&mut self, pfn: u64) -> Option<&mut [u8; PAGE_SIZE]> {
+        match self.chunks.get_mut(pfn as usize / PAGES_PER_CHUNK) {
+            Some(Some(chunk)) => chunk[pfn as usize % PAGES_PER_CHUNK].as_deref_mut(),
+            _ => None,
+        }
+    }
+
     pub fn get_mut_or_alloc(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE] {
         self.slot_mut(pfn).get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// Number of pages holding an image.
+    pub fn page_count(&self) -> usize {
+        self.chunks.iter().flatten().map(|c| c.iter().filter(|p| p.is_some()).count()).sum()
     }
 
     pub fn remove(&mut self, pfn: u64) -> Option<PageBox> {
@@ -129,10 +141,25 @@ impl PageStore {
         }
     }
 
+    pub fn get_mut(&mut self, pfn: u64) -> Option<&mut [u8; PAGE_SIZE]> {
+        match self {
+            PageStore::Flat(a) => a.get_mut(pfn),
+            PageStore::Legacy(m) => m.get_mut(pfn),
+        }
+    }
+
     pub fn get_mut_or_alloc(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE] {
         match self {
             PageStore::Flat(a) => a.get_mut_or_alloc(pfn),
             PageStore::Legacy(m) => m.get_mut_or_alloc(pfn),
+        }
+    }
+
+    /// Number of pages holding an image.
+    pub fn page_count(&self) -> usize {
+        match self {
+            PageStore::Flat(a) => a.page_count(),
+            PageStore::Legacy(m) => m.page_count(),
         }
     }
 
@@ -208,12 +235,29 @@ impl SumStore {
     }
 }
 
-/// One undo record: the line, its previous durable image, and whether the
+/// Snapshot index of an all-zero image: such a snapshot is not stored.
+const ZERO_SNAP: u32 = u32::MAX;
+
+/// True when every byte of `bytes` is zero. An OR over the words, as
+/// `line_sum` tests a line: a byte-wise search or a compare against a zero
+/// slice is several times slower on a whole page.
+pub(crate) fn is_zero(bytes: &[u8]) -> bool {
+    let mut words = bytes.chunks_exact(8);
+    let any = words
+        .by_ref()
+        .fold(0, |any, w| any | u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    any == 0 && words.remainder().iter().all(|&b| b == 0)
+}
+
+/// One undo record: the line, where its previous durable image lives
+/// (an index into [`UndoTable::snaps`], or [`ZERO_SNAP`]), and whether the
 /// record is still live (remove tombstones instead of shifting the list).
-#[derive(Clone, Debug)]
+/// Sixteen bytes: the image itself is stored apart, and only when it is
+/// not all zero.
+#[derive(Clone, Copy, Debug)]
 struct UndoEntry {
     line: u64,
-    snap: LineSnap,
+    snap: u32,
     live: bool,
 }
 
@@ -222,7 +266,8 @@ struct UndoEntry {
 /// Insert-if-absent, membership and remove are O(1); `clear` is an epoch
 /// bump (no per-line walk), which is what makes arming a power cut O(dirty
 /// lines); rollback and commit-all iterate the live list, sorted to match
-/// the ordered map's key order exactly.
+/// the ordered map's key order exactly. All-zero snapshots — every line of
+/// a freshly zero-filled frame — cost only their 16-byte entry.
 #[derive(Clone, Debug)]
 pub struct UndoTable {
     /// Base address of the NVM range; lines below it (DRAM write-backs
@@ -231,12 +276,22 @@ pub struct UndoTable {
     epoch: u32,
     slots: LineTable,
     entries: Vec<UndoEntry>,
+    /// The non-zero snapshot images, in step with `entries`: cleared and
+    /// compacted with it.
+    snaps: Vec<LineSnap>,
     live: usize,
 }
 
 impl UndoTable {
     pub fn with_base(base: u64) -> Self {
-        UndoTable { base, epoch: 0, slots: LineTable::default(), entries: Vec::new(), live: 0 }
+        UndoTable {
+            base,
+            epoch: 0,
+            slots: LineTable::default(),
+            entries: Vec::new(),
+            snaps: Vec::new(),
+            live: 0,
+        }
     }
 
     fn index(&self, line: u64) -> Option<usize> {
@@ -257,6 +312,15 @@ impl UndoTable {
         }
     }
 
+    /// The image an entry refers to.
+    fn image(&self, e: &UndoEntry) -> LineSnap {
+        if e.snap == ZERO_SNAP {
+            [0; 64]
+        } else {
+            self.snaps[e.snap as usize]
+        }
+    }
+
     pub fn contains(&self, line: u64) -> bool {
         self.pos(line).is_some()
     }
@@ -272,6 +336,12 @@ impl UndoTable {
             debug_assert!(false, "undo snapshot for non-NVM line {line:#x}");
             return;
         };
+        let snap = if is_zero(&snap) {
+            ZERO_SNAP
+        } else {
+            self.snaps.push(snap);
+            (self.snaps.len() - 1) as u32
+        };
         self.entries.push(UndoEntry { line, snap, live: true });
         self.slots.set(idx, self.pack(self.entries.len() - 1));
         self.live += 1;
@@ -283,18 +353,25 @@ impl UndoTable {
         self.slots.set(idx, 0);
         self.entries[pos].live = false;
         self.live -= 1;
-        Some(self.entries[pos].snap)
+        Some(self.image(&self.entries[pos]))
     }
 
     pub fn len(&self) -> usize {
         self.live
     }
 
+    /// Records in the list (live and tombstoned) and non-zero images
+    /// stored beside them. For tests of compaction and zero snapshots.
+    #[doc(hidden)]
+    pub fn footprint(&self) -> (usize, usize) {
+        (self.entries.len(), self.snaps.len())
+    }
+
     /// Takes every live entry in ascending line order, leaving the table
     /// empty (matching the ordered map's drain order byte for byte).
     pub fn drain_sorted(&mut self) -> Vec<(u64, LineSnap)> {
         let mut out: Vec<(u64, LineSnap)> =
-            self.entries.iter().filter(|e| e.live).map(|e| (e.line, e.snap)).collect();
+            self.entries.iter().filter(|e| e.live).map(|e| (e.line, self.image(e))).collect();
         out.sort_unstable_by_key(|&(line, _)| line);
         self.clear();
         out
@@ -304,6 +381,7 @@ impl UndoTable {
     /// check, so no per-line wipe is needed.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.snaps.clear();
         self.live = 0;
         if self.epoch == u32::MAX {
             // One epoch wrap per 2^32 clears: pay for a real wipe so old
@@ -336,6 +414,15 @@ impl UndoTable {
     /// store/commit churn between clears.
     fn compact(&mut self) {
         self.entries.retain(|e| e.live);
+        let mut kept = 0;
+        for e in &mut self.entries {
+            if e.snap != ZERO_SNAP {
+                self.snaps[kept] = self.snaps[e.snap as usize];
+                e.snap = kept as u32;
+                kept += 1;
+            }
+        }
+        self.snaps.truncate(kept);
         if self.epoch == u32::MAX {
             self.slots.clear();
             self.epoch = 0;

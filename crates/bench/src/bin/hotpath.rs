@@ -57,13 +57,11 @@ struct Side {
 }
 
 impl Side {
-    /// Builds one side; `legacy` picks the store layout. The ambient
-    /// `--legacy-maps` request is suspended around `Machine::new` so a
-    /// global flag cannot leak into the flat side — the comparison is
-    /// meaningless unless exactly one side is legacy.
+    /// Builds one side; `legacy` picks the store layout. The run
+    /// context's `--legacy-maps` request is suspended around
+    /// `Machine::new` so a global flag cannot leak into the flat side —
+    /// the comparison is meaningless unless exactly one side is legacy.
     fn build(legacy: bool, pages: u64) -> Result<Side> {
-        let ambient = sim::thread_legacy_maps();
-        sim::set_thread_legacy_maps(false);
         let mut faults = mem::MediaFaultConfig::with_seed(5);
         faults.correction_entries = STUCK_CORRECTION_ENTRIES;
         let mut cfg = MachineConfig::small().with_pt_mode(PtMode::Persistent);
@@ -78,9 +76,9 @@ impl Side {
         cfg.caches.l1.assoc = 2;
         cfg.caches.l2.assoc = 2;
         cfg.caches.llc.assoc = 4;
-        let built = Machine::new(cfg);
-        sim::set_thread_legacy_maps(ambient);
-        let mut m = built?;
+        let flat = sim::RunContext { legacy_maps: false, ..sim::RunContext::current() }.install();
+        let mut m = Machine::new(cfg)?;
+        drop(flat);
 
         let pid = m.spawn_process()?;
         let va = m.mmap(pid, pages * 4096, Prot::RW, MapFlags::NVM)?;

@@ -5,9 +5,9 @@
 //! Each seed shuffles the per-line endurance jitter, so the sweep shows
 //! how sensitive the paper's headline persistence numbers are to *where*
 //! the media wears out, not just whether it does. Seeds run as
-//! independent fork-join items: each cell publishes its own ambient
-//! media-fault model, so the whole sweep scales with `--jobs` while
-//! every per-seed result stays byte-identical to a serial run.
+//! independent fork-join items: each cell installs its own media-fault
+//! model in the run context, so the whole sweep scales with `--jobs`
+//! while every per-seed result stays byte-identical to a serial run.
 //!
 //! Each seed also runs the data-integrity grid
 //! ([`run_data_integrity_sweep_jobs`]) with a per-seed corruption load,
@@ -72,7 +72,7 @@ fn main() -> Result<()> {
     } else {
         (experiments::Fig4aParams::paper(), experiments::Table4Params::paper(), 16u64)
     };
-    let base = sim::thread_media_faults().map_or(0xBAD_5EED, |f| f.seed);
+    let base = sim::RunContext::current().faults.map_or(0xBAD_5EED, |f| f.seed);
     let jobs = harness.jobs();
     let stuck = harness.stuck().unwrap_or(0);
     println!("SEEDSWEEP: Fig. 4a + Table IV under media faults, {nseeds} seeds from {base:#x}");
@@ -82,19 +82,21 @@ fn main() -> Result<()> {
     );
     rule(74);
 
-    // Fault-free baseline first, on a clean ambient model. `par_map_cells`
-    // inside the drivers republishes the caller's model per cell, so the
-    // baseline stays fault-free at any worker count.
-    sim::set_thread_media_faults(None);
+    // Fault-free baseline first, on a clean fault model. `par_map` carries
+    // the caller's context onto every worker, so the baseline stays
+    // fault-free at any worker count, and each seed below installs its
+    // own model over the same clean context.
+    let clean = sim::RunContext { faults: None, ..sim::RunContext::current() }.install();
     let base4a = fig4a_persistent_ms(&experiments::run_fig4a(&p4a)?);
     let baset4 = table4_persistent_ms(&experiments::run_table4(&pt4)?);
 
     let seeds: Vec<u64> = (0..nseeds).map(|i| base.wrapping_add(i)).collect();
     let rows: Vec<SeedRow> = parallel::par_map(jobs, seeds, |seed| -> Result<SeedRow> {
-        sim::set_thread_media_faults(Some(sweep_faults(seed, stuck)));
+        let faults = Some(sweep_faults(seed, stuck));
+        let seeded = sim::RunContext { faults, ..sim::RunContext::current() }.install();
         let fig4a = experiments::run_fig4a(&p4a);
         let table4 = experiments::run_table4(&pt4);
-        sim::set_thread_media_faults(None);
+        drop(seeded);
         let fig4a_ms = fig4a_persistent_ms(&fig4a?);
         let table4_ms = table4_persistent_ms(&table4?);
         // The healed-vs-poisoned frontier: seed `base + i` corrupts
@@ -115,6 +117,7 @@ fn main() -> Result<()> {
     })
     .into_iter()
     .collect::<Result<_>>()?;
+    drop(clean);
 
     println!(
         "{:>18} | {:>10} | {:>8} | {:>10} | {:>8} | {:>6} | {:>6}",

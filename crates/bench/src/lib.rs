@@ -4,6 +4,7 @@
 
 pub use kindle_core::*;
 
+use kindle_core::sim::{RunContext, RunContextGuard};
 use kindle_core::types::sanitize::{self, Installed, InvariantChecker, ViolationLog};
 
 /// Flag summary printed when an unknown or malformed argument is seen.
@@ -29,8 +30,8 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 ///   when its numbers still look plausible.
 /// * `--faults <seed>` arms the deterministic NVM media-fault model
 ///   (wear-out, stuck cells, retry-then-retire) in every machine the
-///   experiment builds on this thread — the figures can be regenerated
-///   on degrading media without touching experiment code.
+///   experiment builds — the figures can be regenerated on degrading
+///   media without touching experiment code.
 /// * `--stuck <N>` scatters `N` stuck-at cells over the NVM range and
 ///   enables a two-entry per-line ECP correction budget so the cells are
 ///   absorbed at write time rather than silently corrupting stored data.
@@ -56,23 +57,28 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 /// * `--verify-replay` asks sweep-style binaries to cross-check the
 ///   snapshot-forked execution against the replay-from-zero oracle
 ///   ([`Harness::verify_replay`]); the digests must be byte-identical.
-/// * `--legacy-maps` makes every machine the experiment builds on this
-///   thread use the legacy ordered-map memory-controller stores instead
-///   of the flat direct-indexed tables. Output must be byte-identical;
+/// * `--legacy-maps` makes every machine the experiment builds use the
+///   legacy ordered-map memory-controller stores instead of the flat
+///   direct-indexed tables. Output must be byte-identical;
 ///   only throughput changes (this is the `hotpath` benchmark's
 ///   comparison baseline, and an escape hatch for bisecting the flat
 ///   layout).
 /// * `--backend <name>` swaps the far-tier memory backend
 ///   ([`mem::Backend::registry`]: `pcm`, `numa`, `sttram`, `cxl`, ...)
-///   under every machine the experiment builds on this thread. The
-///   default `pcm` is byte-identical to not passing the flag; unknown
-///   names exit 2 listing the registered backends. The resolved name is
-///   echoed in every `--json` envelope.
+///   under every machine the experiment builds. The default `pcm` is
+///   byte-identical to not passing the flag; unknown names exit 2
+///   listing the registered backends. The resolved name is echoed in
+///   every `--json` envelope.
+///
+/// `--faults`, `--legacy-maps`, `--backend` and `--jobs` form the
+/// [`RunContext`] the harness installs for its lifetime; `par_map`
+/// carries it onto every worker.
 ///
 /// Unknown `--*` flags are rejected: [`Harness::from_args`] prints the
 /// usage line and exits with status 2 rather than silently running the
 /// paper-scale default (the classic typo was `--quik`).
 pub struct Harness {
+    _ctx: RunContextGuard,
     _guard: Option<Installed>,
     log: Option<ViolationLog>,
     jobs: usize,
@@ -210,23 +216,17 @@ impl Harness {
             }
         }
         let jobs = jobs.unwrap_or_else(parallel::default_jobs);
-        parallel::set_thread_jobs(jobs);
-        if let Some(seed) = fault_seed {
+        let faults = fault_seed.map(|seed| {
             let mut faults = mem::MediaFaultConfig::with_seed(seed);
             if let Some(n) = stuck {
                 faults.stuck_cells = n;
                 faults.correction_entries = STUCK_CORRECTION_ENTRIES;
             }
-            kindle_core::sim::set_thread_media_faults(Some(faults));
-        }
-        if legacy_maps {
-            kindle_core::sim::set_thread_legacy_maps(true);
-        }
-        if let Some(b) = backend {
-            // Only publish when the flag was passed: the unset default
-            // must stay byte-identical to the pre-backend harness.
-            kindle_core::sim::set_thread_backend(Some(b));
-        }
+            faults
+        });
+        // `backend` stays `None` unless the flag was passed: the unset
+        // default must stay byte-identical to the pre-backend harness.
+        let ctx = RunContext { faults, backend, legacy_maps, jobs }.install();
         let (guard, log) = if sanitize_requested {
             let checker = InvariantChecker::new();
             let log = checker.log();
@@ -235,6 +235,7 @@ impl Harness {
             (None, None)
         };
         Ok(Harness {
+            _ctx: ctx,
             _guard: guard,
             log,
             jobs,
@@ -339,17 +340,13 @@ impl Harness {
         }
     }
 
-    /// Tears the harness down: clears the ambient fault seed, resets the
-    /// published worker count, and reports sanitizer violations.
+    /// Tears the harness down: reports sanitizer violations, then (on
+    /// drop) restores the run context that was current before it.
     ///
     /// # Errors
     ///
     /// [`KindleError::Corrupted`] when the sanitizer recorded violations.
     pub fn finish(self) -> Result<()> {
-        kindle_core::sim::set_thread_media_faults(None);
-        kindle_core::sim::set_thread_legacy_maps(false);
-        kindle_core::sim::set_thread_backend(None);
-        parallel::set_thread_jobs(1);
         if let Some(log) = &self.log {
             let violations = log.take();
             if !violations.is_empty() {
@@ -544,9 +541,9 @@ mod tests {
     fn harness_publishes_and_resets_jobs() {
         let h = Harness::from_arg_list(&args(&["bin", "--jobs", "3"]));
         assert_eq!(h.jobs(), 3);
-        assert_eq!(parallel::thread_jobs(), 3, "drivers must see the published count");
+        assert_eq!(RunContext::current().jobs, 3, "drivers must see the published count");
         h.finish().unwrap();
-        assert_eq!(parallel::thread_jobs(), 1, "finish must reset to serial");
+        assert_eq!(RunContext::current(), RunContext::default(), "finish must restore the context");
     }
 
     #[test]

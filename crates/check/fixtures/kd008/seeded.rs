@@ -6,3 +6,10 @@ pub fn reseed(seed: u64) {
 pub fn peek() -> u64 {
     thread_media_fault_seed()
 }
+
+thread_local! {
+    static RETRY_BUDGET: Cell<u32> = const { Cell::new(0) };
+}
+
+#[thread_local]
+static SCRATCH: u64 = 0;

@@ -9,7 +9,7 @@
 //! | KD004 | no `.unwrap()`/`.expect(` in non-test `crates/os` / `crates/persist` code |
 //! | KD006 | no raw `+`/`-` arithmetic inside `Cycles::new(..)` outside `crates/types` |
 //! | KD007 | no host threads (`std::thread`, `thread::spawn/scope`) outside `kindle_core::parallel` |
-//! | KD008 | the removed seed-only fault channel (`set_thread_media_fault_seed`) stays removed |
+//! | KD008 | one ambient channel: no `thread_local` outside the run context (`crates/sim/src/config.rs`) and the sanitizer (`crates/types/src/sanitize.rs`); the removed seed-only fault channel stays removed |
 //! | KD009 | NVM-mutating primitives in `mem`/`os`/`persist` emit their sanitize event on every path, or sit inside a checkpoint bracket |
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
 //! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
@@ -54,6 +54,13 @@ pub fn is_nvm_discipline_crate(krate: &str) -> bool {
 /// go through its `par_map`, so worker scheduling can never reach
 /// simulation state or reorder results.
 const THREAD_HOME: &str = "crates/core/src/parallel.rs";
+
+/// The files allowed to declare host-thread-locals (KD008): the run
+/// context, which `par_map` carries onto every worker, and the sanitizer
+/// installation, which `par_map_cells` deliberately re-creates per cell.
+/// Ambient state anywhere else would have to be copied onto workers by
+/// hand — the drift this rule exists to prevent.
+const THREAD_LOCAL_HOMES: &[&str] = &["crates/types/src/sanitize.rs", "crates/sim/src/config.rs"];
 
 /// The `crates/mem` files allowed to keep ordered maps (KD012): the
 /// legacy store implementations preserved as the `--legacy-maps`
@@ -218,7 +225,10 @@ fn flat_rules(
         {
             hit("KD007", t.line);
         }
-        if t.is_ident("set_thread_media_fault_seed") || t.is_ident("thread_media_fault_seed") {
+        if t.is_ident("set_thread_media_fault_seed")
+            || t.is_ident("thread_media_fault_seed")
+            || (t.is_ident("thread_local") && !THREAD_LOCAL_HOMES.contains(&rel_path))
+        {
             hit("KD008", t.line);
         }
         if sim
@@ -334,9 +344,10 @@ fn message_of(rule: &str) -> &'static str {
              through par_map so results stay independent of worker count"
         }
         "KD008" => {
-            "seed-only ambient fault channel; use \
-             set_thread_media_faults(MediaFaultConfig) — the one entry point — \
-             so every caller states the full fault model"
+            "second ambient channel; run-wide settings live in RunContext \
+             (crates/sim/src/config.rs), which par_map carries to every \
+             worker — add a field there (the seed-only fault channel is \
+             RunContext::faults, a full MediaFaultConfig)"
         }
         "KD011" => {
             "todo!/unimplemented!/unreachable! in simulation code; model the \
@@ -839,7 +850,7 @@ mod tests {
         let d = check_source(
             "crates/bench/src/x.rs",
             Some("bench"),
-            "kindle_core::sim::set_thread_media_faults(None);\n",
+            "let _ctx = RunContext { faults: None, ..RunContext::current() }.install();\n",
         );
         assert!(d.is_empty(), "{d:?}");
         let d = check_source(
@@ -848,6 +859,25 @@ mod tests {
             "\"set_thread_media_fault_seed\";\n",
         );
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn kd008_keeps_thread_locals_in_their_two_homes() {
+        let decl = "thread_local! { static N: Cell<usize> = const { Cell::new(1) }; }\n";
+        for (path, krate) in
+            [("crates/core/src/parallel.rs", "core"), ("crates/bench/src/x.rs", "bench")]
+        {
+            assert_eq!(rules_of(&check_source(path, Some(krate), decl)), ["KD008"], "{path}");
+        }
+        for (path, krate) in
+            [("crates/sim/src/config.rs", "sim"), ("crates/types/src/sanitize.rs", "types")]
+        {
+            assert!(check_source(path, Some(krate), decl).is_empty(), "{path}");
+        }
+        // Test code may keep its own thread-locals.
+        let src = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{ {decl} }}\n");
+        assert!(check_source("crates/os/src/x.rs", Some("os"), &src).is_empty());
+        assert!(check_source("crates/os/tests/x.rs", Some("os"), decl).is_empty());
     }
 
     #[test]

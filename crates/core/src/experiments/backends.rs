@@ -2,13 +2,14 @@
 //! every requested far-tier backend (the `--backend` axis as a grid).
 //!
 //! Each backend runs the full Fig. 4a size × scheme grid with the
-//! backend published ambiently — exactly what `--backend <name>` does —
-//! so the numbers here are the numbers any fig/table binary would
-//! produce under that flag. The caller's own ambient backend choice is
-//! restored afterwards.
+//! backend installed in the run context — exactly what `--backend <name>`
+//! does — so the numbers here are the numbers any fig/table binary would
+//! produce under that flag. The caller's own context is restored
+//! afterwards.
 
 use super::persistence::{run_fig4a, Fig4aParams, Fig4aRow};
 use kindle_mem::Backend;
+use kindle_sim::RunContext;
 use kindle_types::Result;
 
 /// Parameters for the backends × schemes grid.
@@ -41,21 +42,18 @@ impl BackendGridParams {
     }
 }
 
-/// Runs the Fig. 4a grid once per backend, publishing each backend
-/// ambiently for the duration of its grid (workers inherit it through
-/// `par_map_cells`) and restoring the caller's ambient choice after.
+/// Runs the Fig. 4a grid once per backend, installing each backend in
+/// the run context for the duration of its grid (workers inherit it
+/// through `par_map`) and restoring the caller's context after.
 ///
 /// # Errors
 ///
 /// Propagates the first failing cell's error.
 pub fn run_backend_grid(p: &BackendGridParams) -> Result<Vec<(Backend, Vec<Fig4aRow>)>> {
-    let prev = kindle_sim::thread_backend();
     let mut out = Vec::with_capacity(p.backends.len());
     for &b in &p.backends {
-        kindle_sim::set_thread_backend(Some(b));
-        let rows = run_fig4a(&p.fig4a);
-        kindle_sim::set_thread_backend(prev);
-        out.push((b, rows?));
+        let _ctx = RunContext { backend: Some(b), ..RunContext::current() }.install();
+        out.push((b, run_fig4a(&p.fig4a)?));
     }
     Ok(out)
 }
@@ -87,7 +85,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(kindle_sim::thread_backend(), None, "grid must restore the ambient choice");
+        assert_eq!(RunContext::current(), RunContext::default(), "grid must restore the context");
 
         // Timing sanity: DRAM-class far tiers write far faster than PCM's
         // 500 ns cells, so their persistent runs must come in under PCM's.

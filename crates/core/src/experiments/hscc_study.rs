@@ -79,8 +79,8 @@ pub struct Fig6Row {
 /// Propagates machine and replay failures.
 pub fn run_fig6(p: &Fig6Params) -> Result<Vec<Fig6Row>> {
     // Prepared programs are plain data; (workload, threshold) cells share
-    // them by reference and run on the ambient worker count. Row order is
-    // the serial nesting order.
+    // them by reference and run on the run context's worker count. Row
+    // order is the serial nesting order.
     let prepared: Vec<Kindle> =
         p.workloads.iter().map(|&wl| Kindle::prepare_streaming(wl, p.ops, p.seed)).collect();
     let mut cells = Vec::new();

@@ -123,8 +123,8 @@ fn seq_alloc_access(mode: PtMode, size: u64, p: &Fig4aParams) -> Result<f64> {
 }
 
 /// Runs Fig. 4a: sequential allocation and access of increasing sizes.
-/// Grid cells (one per size) run on the ambient
-/// [`parallel::thread_jobs`] worker count; row order is always size order.
+/// Grid cells (one per size) run on the [`kindle_sim::RunContext`]
+/// worker count; row order is always size order.
 ///
 /// # Errors
 ///
@@ -432,6 +432,7 @@ pub fn run_table4(p: &Table4Params) -> Result<Vec<Table4Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kindle_sim::RunContext;
 
     #[test]
     fn fig4a_quick_shapes() {
@@ -466,9 +467,9 @@ mod tests {
         // --legacy-maps) must produce byte-identical rows: the store
         // layout is a host-side data structure, never a simulated one.
         let flat = run_fig4a(&Fig4aParams::quick()).unwrap();
-        kindle_sim::set_thread_legacy_maps(true);
+        let guard = RunContext { legacy_maps: true, ..RunContext::default() }.install();
         let legacy = run_fig4a(&Fig4aParams::quick());
-        kindle_sim::set_thread_legacy_maps(false);
+        drop(guard);
         assert_eq!(flat, legacy.unwrap(), "legacy maps changed a Fig. 4a row");
     }
 
@@ -478,12 +479,13 @@ mod tests {
         // --backend pcm) must be byte-identical to the pre-trait default
         // path, serial and parallel alike.
         let direct = run_fig4a(&Fig4aParams::quick()).unwrap();
-        kindle_sim::set_thread_backend(Some(kindle_mem::Backend::Pcm));
+        let pcm = RunContext { backend: Some(kindle_mem::Backend::Pcm), ..RunContext::default() };
+        let guard = pcm.install();
         let via_trait = run_fig4a(&Fig4aParams::quick());
-        parallel::set_thread_jobs(4);
+        drop(guard);
+        let guard = RunContext { jobs: 4, ..pcm }.install();
         let via_trait_par = run_fig4a(&Fig4aParams::quick());
-        parallel::set_thread_jobs(1);
-        kindle_sim::set_thread_backend(None);
+        drop(guard);
         assert_eq!(direct, via_trait.unwrap(), "backend=pcm changed a Fig. 4a row");
         assert_eq!(direct, via_trait_par.unwrap(), "backend=pcm diverged under jobs=4");
     }
@@ -491,9 +493,9 @@ mod tests {
     #[test]
     fn fig4a_rows_are_jobs_invariant() {
         let serial = run_fig4a(&Fig4aParams::quick()).unwrap();
-        parallel::set_thread_jobs(4);
+        let guard = RunContext { jobs: 4, ..RunContext::default() }.install();
         let parallel_rows = run_fig4a(&Fig4aParams::quick()).unwrap();
-        parallel::set_thread_jobs(1);
+        drop(guard);
         assert_eq!(serial, parallel_rows, "jobs=1 vs jobs=4 must agree bit-for-bit");
     }
 

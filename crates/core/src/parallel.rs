@@ -19,14 +19,20 @@
 //!   calling thread, making "serial" a special case of the same code path
 //!   rather than a second implementation that could drift.
 //!
-//! The cross-layer sanitizer (`kindle_types::sanitize`) and the ambient
-//! media-fault seed (`kindle_sim`) are **host-thread-local**, so workers
-//! see neither unless re-published. [`par_map_cells`] does exactly that:
-//! it captures the caller's ambient fault seed and whether a sanitizer is
-//! installed, then gives every cell its own fresh `InvariantChecker` (and
-//! its own seed publication) on whichever thread it runs — the serial and
-//! parallel paths install identical per-cell checkers, so violations are
-//! caught (and reported identically) at any job count.
+//! The run's settings — the [`RunContext`] (media-fault model, far-tier
+//! backend, store layout, worker count) — are **host-thread-local**, and
+//! `par_map` is the one place that carries them across threads: every
+//! item run on a worker runs under the caller's context with `jobs: 1`,
+//! so nested grids stay serial and a new setting reaches every worker
+//! without touching a call site. The serial path runs on the caller's
+//! thread and so needs no copy.
+//!
+//! The cross-layer sanitizer (`kindle_types::sanitize`) is host-thread-local
+//! too, but a checker must not be shared: [`par_map_cells`] gives every
+//! cell its own fresh `InvariantChecker` when the caller has one
+//! installed, on whichever thread the cell runs — the serial and parallel
+//! paths install identical per-cell checkers, so violations are caught
+//! (and reported identically) at any job count.
 //!
 //! Worker-count resolution: `--jobs N` (bench harness) beats the
 //! `KINDLE_JOBS` environment variable, which beats
@@ -34,31 +40,11 @@
 //!
 //! [`Machine`]: kindle_sim::Machine
 
-use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
+use kindle_sim::RunContext;
 use kindle_types::sanitize::{self, InvariantChecker};
 use kindle_types::{KindleError, Result};
-
-thread_local! {
-    /// Ambient worker count for experiment drivers on this thread: the
-    /// bench harness sets it once from `--jobs`/`KINDLE_JOBS`, and every
-    /// driver grid picks it up without threading a parameter through each
-    /// `run_*` signature. Defaults to 1 (serial) so library callers and
-    /// unit tests are unaffected unless they opt in.
-    static THREAD_JOBS: Cell<usize> = const { Cell::new(1) };
-}
-
-/// Publishes the worker count [`par_map_cells`] uses on this thread
-/// (clamped to ≥ 1).
-pub fn set_thread_jobs(jobs: usize) {
-    THREAD_JOBS.with(|j| j.set(jobs.max(1)));
-}
-
-/// The ambient worker count for this thread (1 unless published).
-pub fn thread_jobs() -> usize {
-    THREAD_JOBS.with(Cell::get)
-}
 
 /// Resolves the default worker count: `KINDLE_JOBS` if set to a positive
 /// integer, else the machine's available parallelism.
@@ -77,6 +63,8 @@ pub fn default_jobs() -> usize {
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
 /// the results **in input order**. With `jobs <= 1` (or fewer than two
 /// items) this is exactly the serial `map` loop on the calling thread.
+/// Each worker runs its items under the caller's [`RunContext`] with
+/// `jobs: 1`.
 ///
 /// Workers pull items from a shared queue (so uneven cells load-balance)
 /// and write each result into its input slot; ordering is positional, not
@@ -103,14 +91,18 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let slots = Mutex::new(slots);
+    let ctx = RunContext { jobs: 1, ..RunContext::current() };
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs.min(n))
             .map(|_| {
-                scope.spawn(|| loop {
-                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                    let Some((idx, item)) = next else { break };
-                    let out = f(item);
-                    slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
+                scope.spawn(|| {
+                    let _ctx = ctx.install();
+                    loop {
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((idx, item)) = next else { break };
+                        let out = f(item);
+                        slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
+                    }
                 })
             })
             .collect();
@@ -135,13 +127,11 @@ where
         .collect()
 }
 
-/// [`par_map`] specialized for experiment-grid cells: runs each fallible
-/// cell with the caller's ambient context re-established on the worker —
-/// the thread-local media-fault model is republished, and if the caller has
-/// a sanitizer installed (bench `--sanitize`), the cell runs under its own
-/// fresh [`InvariantChecker`] whose violations fail the cell. Uses the
-/// ambient [`thread_jobs`] worker count; results come back in input order,
-/// and the first cell error (in input order) aborts the map.
+/// [`par_map`] specialized for experiment-grid cells: if the caller has a
+/// sanitizer installed (bench `--sanitize`), each fallible cell runs under
+/// its own fresh [`InvariantChecker`] whose violations fail the cell. Uses
+/// the [`RunContext`] worker count; results come back in input order, and
+/// the first cell error (in input order) aborts the map.
 ///
 /// # Errors
 ///
@@ -153,15 +143,8 @@ where
     R: Send,
     F: Fn(T) -> Result<R> + Sync,
 {
-    let jobs = thread_jobs();
-    let ambient_faults = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let sanitized = sanitize::installed();
     let run_cell = move |item: T| -> Result<R> {
-        kindle_sim::set_thread_media_faults(ambient_faults);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         if !sanitized {
             return f(item);
         }
@@ -181,7 +164,7 @@ where
             Err(KindleError::Corrupted("sanitizer recorded violations"))
         }
     };
-    par_map(jobs, items, run_cell).into_iter().collect()
+    par_map(RunContext::current().jobs, items, run_cell).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -239,18 +222,36 @@ mod tests {
     }
 
     #[test]
-    fn thread_jobs_roundtrip_and_clamp() {
-        assert_eq!(thread_jobs(), 1, "serial unless published");
-        set_thread_jobs(6);
-        assert_eq!(thread_jobs(), 6);
-        set_thread_jobs(0);
-        assert_eq!(thread_jobs(), 1, "clamped to >= 1");
-        set_thread_jobs(1);
+    fn par_map_carries_the_run_context_to_workers() {
+        let caller = RunContext {
+            faults: Some(kindle_mem::MediaFaultConfig::with_seed(77)),
+            backend: Some(kindle_mem::Backend::Cxl),
+            legacy_maps: true,
+            jobs: 4,
+        };
+        let guard = caller.install();
+        let seen = par_map(4, (0..8u64).collect(), |_| RunContext::current());
+        let worker = RunContext { jobs: 1, ..caller };
+        assert!(seen.iter().all(|&c| c == worker), "workers run serial under the caller's context");
+        let seen = par_map(1, (0..8u64).collect(), |_| RunContext::current());
+        assert!(seen.iter().all(|&c| c == caller), "the serial path sees the caller's context");
+        assert_eq!(RunContext::current(), caller, "the map must not change the caller's context");
+        let res = std::panic::catch_unwind(|| {
+            par_map(4, (0..8u64).collect(), |x| assert!(x != 5, "boom at item 5"));
+        });
+        assert!(res.is_err());
+        assert_eq!(RunContext::current(), caller, "a worker panic must not change it either");
+        drop(guard);
+        assert_eq!(RunContext::current(), RunContext::default());
+
+        let guard = RunContext { jobs: 0, ..RunContext::default() }.install();
+        assert_eq!(RunContext::current().jobs, 1, "install clamps jobs to >= 1");
+        drop(guard);
     }
 
     #[test]
     fn par_map_cells_collects_and_fails_on_first_error() {
-        set_thread_jobs(4);
+        let _jobs = RunContext { jobs: 4, ..RunContext::default() }.install();
         let ok: Result<Vec<u64>> = par_map_cells((0..10u64).collect(), Ok);
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
         let err: Result<Vec<u64>> = par_map_cells((0..10u64).collect(), |x| {
@@ -261,42 +262,6 @@ mod tests {
             }
         });
         assert!(err.is_err());
-        set_thread_jobs(1);
-    }
-
-    #[test]
-    fn par_map_cells_republishes_fault_model_on_workers() {
-        kindle_sim::set_thread_media_faults(Some(kindle_mem::MediaFaultConfig::with_seed(77)));
-        set_thread_jobs(4);
-        let seeds = par_map_cells((0..8u64).collect(), |_| {
-            Ok(kindle_sim::thread_media_faults().map(|f| f.seed))
-        })
-        .unwrap();
-        assert!(seeds.iter().all(|&s| s == Some(77)), "{seeds:?}");
-        set_thread_jobs(1);
-        kindle_sim::set_thread_media_faults(None);
-    }
-
-    #[test]
-    fn par_map_cells_republishes_legacy_maps_on_workers() {
-        kindle_sim::set_thread_legacy_maps(true);
-        set_thread_jobs(4);
-        let flags =
-            par_map_cells((0..8u64).collect(), |_| Ok(kindle_sim::thread_legacy_maps())).unwrap();
-        assert!(flags.iter().all(|&f| f), "{flags:?}");
-        set_thread_jobs(1);
-        kindle_sim::set_thread_legacy_maps(false);
-    }
-
-    #[test]
-    fn par_map_cells_republishes_backend_on_workers() {
-        kindle_sim::set_thread_backend(Some(kindle_mem::Backend::Cxl));
-        set_thread_jobs(4);
-        let backends =
-            par_map_cells((0..8u64).collect(), |_| Ok(kindle_sim::thread_backend())).unwrap();
-        assert!(backends.iter().all(|&b| b == Some(kindle_mem::Backend::Cxl)), "{backends:?}");
-        set_thread_jobs(1);
-        kindle_sim::set_thread_backend(None);
     }
 
     #[test]
@@ -304,7 +269,7 @@ mod tests {
         use kindle_types::sanitize::Event;
         let outer = InvariantChecker::new();
         let _guard = sanitize::install(Box::new(outer));
-        set_thread_jobs(4);
+        let _jobs = RunContext { jobs: 4, ..RunContext::default() }.install();
         // Every cell (on whatever thread) must observe an installed checker.
         let installed = par_map_cells((0..8u64).collect(), |_| Ok(sanitize::installed())).unwrap();
         assert!(installed.iter().all(|&b| b), "{installed:?}");
@@ -316,6 +281,5 @@ mod tests {
             Ok(())
         });
         assert!(matches!(err, Err(KindleError::Corrupted(_))), "{err:?}");
-        set_thread_jobs(1);
     }
 }

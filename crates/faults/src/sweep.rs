@@ -56,7 +56,8 @@ use kindle_os::PtMode;
 use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
 use kindle_types::sanitize::{self, Event, InvariantChecker, Sanitizer, ThreadId, ViolationLog};
 use kindle_types::{
-    checksum64, AccessKind, Cycles, MapFlags, PhysMem, Prot, Result, Rng64, VirtAddr, PAGE_SIZE,
+    checksum64, AccessKind, Cycles, KindleError, MapFlags, PhysMem, Prot, Result, Rng64, VirtAddr,
+    PAGE_SIZE,
 };
 
 use crate::plan::{FaultPlan, FaultPoint};
@@ -767,17 +768,9 @@ fn run_sweep_cfg(
         }
         SweepStrategy::ReplayFromZero => (golden_run_cfg(cfg)?, None),
     };
-    // Workers have their own thread-locals: republish the caller's ambient
-    // media-fault model so the sweep is jobs-invariant even under --faults.
-    let ambient = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let golden_ref = &golden;
     let pool_ref = pool.as_ref();
     let results = parallel::par_map(jobs, (0..golden.boundaries).collect(), move |b| {
-        kindle_sim::set_thread_media_faults(ambient);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         // A fresh generator per boundary keeps crash points independent:
         // inserting a boundary does not shift every later tear.
         let mut rng = Rng64::new(seed ^ (b + 1).wrapping_mul(GOLDEN_GAMMA));
@@ -965,16 +958,10 @@ pub fn run_nvm_write_sweep_instrumented(
         SweepStrategy::ReplayFromZero => (golden_run_cfg(&cfg)?, None),
     };
     let stride = stride.max(1);
-    let ambient = kindle_sim::thread_media_faults();
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let cfg_ref = &cfg;
     let pool_ref = pool.as_ref();
     let points: Vec<u64> = (0..golden.nvm_writes).step_by(stride as usize).collect();
     let results = parallel::par_map(jobs, points.clone(), move |w| {
-        kindle_sim::set_thread_media_faults(ambient);
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         let mut rng = Rng64::new(seed ^ (w + 1).wrapping_mul(GOLDEN_GAMMA));
         crash_at_nvm_write(cfg_ref, pool_ref, w, &mut rng)
     });
@@ -1115,7 +1102,11 @@ fn run_integrity_point(
         let (page, line) = (slot / LINES_PER_PAGE, slot % LINES_PER_PAGE);
         let line_pa = frames[page as usize].base().as_u64() + line * 64;
         let bit = rng.gen_below(512) as u32;
-        assert!(m.hw.mc.degrade_line_bit(line_pa, bit), "stuck cell seeding failed");
+        if !m.hw.mc.degrade_line_bit(line_pa, bit) {
+            return Err(KindleError::InvalidArgument(
+                "data-integrity grid needs a far tier with a media-fault model",
+            ));
+        }
         degraded_pages.insert(page);
     }
     let stuck = chosen.len() as u64;
@@ -1181,7 +1172,7 @@ fn run_integrity_point(
         assert!(victim_dead);
         let err = m.access(victim, va, AccessKind::Read).unwrap_err();
         assert!(
-            matches!(err, kindle_types::KindleError::NoSuchProcess(p) if p == victim),
+            matches!(err, KindleError::NoSuchProcess(p) if p == victim),
             "post-kill access fails instead of returning corrupt bytes: {err:?}"
         );
     }
@@ -1217,7 +1208,9 @@ fn run_integrity_point(
 ///
 /// # Errors
 ///
-/// Propagates machine/workload failures.
+/// Propagates machine/workload failures; [`KindleError::InvalidArgument`]
+/// when the far tier has no media-fault model to seed stuck cells into
+/// (e.g. `--backend numa`).
 ///
 /// # Panics
 ///
@@ -1265,14 +1258,7 @@ pub fn run_data_integrity_sweep_strategy(
         .enumerate()
         .map(|(i, &(budget, daemons))| (i as u64, budget, daemons))
         .collect();
-    // Workers have their own thread-locals: republish the caller's ambient
-    // store-layout request and far-tier backend so the grid is
-    // jobs-invariant under --legacy-maps and --backend.
-    let ambient_legacy = kindle_sim::thread_legacy_maps();
-    let ambient_backend = kindle_sim::thread_backend();
     let results = parallel::par_map(jobs, grid, move |(i, budget, daemons)| {
-        kindle_sim::set_thread_legacy_maps(ambient_legacy);
-        kindle_sim::set_thread_backend(ambient_backend);
         // A fresh generator per point keeps grid points independent.
         let pseed = seed ^ (i + 1).wrapping_mul(GOLDEN_GAMMA);
         run_integrity_point(budget, daemons, stuck, pseed, strategy)

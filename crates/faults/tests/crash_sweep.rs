@@ -112,8 +112,8 @@ fn stuck_cell_sweep_recovers_and_is_jobs_invariant() {
 // forked execution must be *indistinguishable* from re-executing the
 // prefix from cycle 0 — same recovered set, same digest, byte for byte —
 // for every sweep family. Any state the snapshot missed (a cache line, a
-// TLB entry, the media RNG, the write-buffer undo map, the ambient fault
-// epoch) would surface here as a digest mismatch.
+// TLB entry, the media RNG, the write-buffer undo map, the resolved
+// fault model) would surface here as a digest mismatch.
 
 #[test]
 fn forked_boundary_sweep_matches_replay_from_zero() {
@@ -186,8 +186,8 @@ fn round_tripped_data_integrity_sweep_matches_straight_run() {
 
 #[test]
 fn forked_sweep_is_jobs_invariant() {
-    // Workers each republish the ambient fault epoch captured in the
-    // snapshot; one worker and eight must still agree bit-for-bit.
+    // Workers fork from shared snapshots under the caller's run context
+    // (carried by `par_map`); one worker and eight must agree bit-for-bit.
     let serial =
         run_sweep_strategy(PtMode::Rebuild, SEED, false, 1, SweepStrategy::SnapshotFork).unwrap();
     let parallel =

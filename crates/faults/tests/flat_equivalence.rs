@@ -7,52 +7,45 @@
 //! flag). The layouts must be indistinguishable to every observer: these
 //! tests run the crash-sweep families and the data-integrity grid under
 //! both layouts — serial and parallel — and require the *full* outcome
-//! (order-sensitive digest included) to match bit for bit.
+//! (order-sensitive digest included) to match bit for bit. The legacy
+//! request is installed in the run context, which `par_map` carries onto
+//! the sweep workers, so one install covers any `jobs` count.
 
 use kindle_faults::{run_data_integrity_sweep_jobs, run_nvm_write_sweep_jobs, run_sweep_jobs};
 use kindle_os::PtMode;
-use kindle_sim::{set_thread_legacy_maps, thread_legacy_maps};
+use kindle_sim::RunContext;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
-
-/// Runs `f` with the ambient legacy-store request set to `legacy`,
-/// restoring the previous request afterwards (the sweeps republish the
-/// ambient flag onto their workers, so one thread-local toggle covers
-/// any `jobs` count).
-fn with_legacy<R>(legacy: bool, f: impl FnOnce() -> R) -> R {
-    let prev = thread_legacy_maps();
-    set_thread_legacy_maps(legacy);
-    let out = f();
-    set_thread_legacy_maps(prev);
-    out
-}
 
 #[test]
 fn checkpoint_sweep_digest_is_layout_invariant() {
     for mode in [PtMode::Rebuild, PtMode::Persistent] {
-        let flat = with_legacy(false, || run_sweep_jobs(mode, SEED, 1)).unwrap();
-        let legacy = with_legacy(true, || run_sweep_jobs(mode, SEED, 1)).unwrap();
+        let flat = run_sweep_jobs(mode, SEED, 1).unwrap();
+        let _ctx = RunContext { legacy_maps: true, ..RunContext::default() }.install();
+        let legacy = run_sweep_jobs(mode, SEED, 1).unwrap();
         assert_eq!(flat, legacy, "{mode:?}: legacy maps changed the checkpoint sweep");
     }
 }
 
 #[test]
 fn nvm_write_sweep_digest_is_layout_invariant_at_any_jobs() {
-    let flat =
-        with_legacy(false, || run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 1)).unwrap();
-    for (legacy, jobs) in [(true, 1), (true, 4), (false, 4)] {
-        let other =
-            with_legacy(legacy, || run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, jobs))
-                .unwrap();
-        assert_eq!(flat, other, "legacy={legacy} jobs={jobs} diverged from the flat serial sweep");
+    let flat = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 1).unwrap();
+    for (legacy_maps, jobs) in [(true, 1), (true, 4), (false, 4)] {
+        let _ctx = RunContext { legacy_maps, ..RunContext::default() }.install();
+        let other = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, jobs).unwrap();
+        assert_eq!(
+            flat, other,
+            "legacy={legacy_maps} jobs={jobs} diverged from the flat serial sweep"
+        );
     }
 }
 
 #[test]
 fn data_integrity_sweep_digest_is_layout_invariant_at_any_jobs() {
-    let flat = with_legacy(false, || run_data_integrity_sweep_jobs(0xDA7A, 3, 1)).unwrap();
+    let flat = run_data_integrity_sweep_jobs(0xDA7A, 3, 1).unwrap();
+    let _ctx = RunContext { legacy_maps: true, ..RunContext::default() }.install();
     for jobs in [1, 4] {
-        let legacy = with_legacy(true, || run_data_integrity_sweep_jobs(0xDA7A, 3, jobs)).unwrap();
+        let legacy = run_data_integrity_sweep_jobs(0xDA7A, 3, jobs).unwrap();
         assert_eq!(flat, legacy, "jobs={jobs}: legacy maps changed the data-integrity grid");
     }
 }

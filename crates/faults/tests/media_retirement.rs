@@ -5,7 +5,7 @@
 //! shootdown — under a zero-violation invariant sanitizer.
 
 use kindle_mem::MediaFaultConfig;
-use kindle_sim::{Machine, MachineConfig};
+use kindle_sim::{Machine, MachineConfig, RunContext};
 use kindle_types::sanitize::{self, InvariantChecker};
 use kindle_types::{AccessKind, MapFlags, PhysMem, Prot, PAGE_SIZE};
 
@@ -76,21 +76,19 @@ fn worn_out_nvm_frame_is_retired_and_remapped() {
 
 #[test]
 fn ambient_model_arms_machines_built_on_this_thread() {
-    kindle_sim::set_thread_media_faults(Some(MediaFaultConfig::with_seed(77)));
+    let ctx = RunContext { faults: Some(MediaFaultConfig::with_seed(77)), ..RunContext::default() };
+    let guard = ctx.install();
     let armed = Machine::new(MachineConfig::small()).unwrap();
-    kindle_sim::set_thread_media_faults(None);
+    // An explicit config always beats the context's model.
+    let explicit = Machine::new(MachineConfig::small().with_media_faults(5)).unwrap();
+    drop(guard);
     let clean = Machine::new(MachineConfig::small()).unwrap();
 
     assert_eq!(
         armed.config().mem.faults.as_ref().map(|f| f.seed),
         Some(77),
-        "ambient model must arm machines whose config left faults unset"
+        "the context's model must arm machines whose config left faults unset"
     );
-    assert!(clean.config().mem.faults.is_none(), "clearing the model must stick");
-
-    // An explicit config always beats the ambient model.
-    kindle_sim::set_thread_media_faults(Some(MediaFaultConfig::with_seed(77)));
-    let explicit = Machine::new(MachineConfig::small().with_media_faults(5)).unwrap();
-    kindle_sim::set_thread_media_faults(None);
+    assert!(clean.config().mem.faults.is_none(), "dropping the guard must disarm it");
     assert_eq!(explicit.config().mem.faults.as_ref().map(|f| f.seed), Some(5));
 }

@@ -338,7 +338,7 @@ const REGISTRY: &[Backend] = &[
 ];
 
 /// A registered far-tier backend. This is the value that travels through
-/// configs, snapshots and thread-locals; the behavior lives in the
+/// configs, snapshots and the run context; the behavior lives in the
 /// `&'static dyn MemoryBackend` it resolves to via [`Backend::instance`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {

@@ -1,10 +1,11 @@
 //! Machine configuration (Table I defaults).
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 
 use kindle_cache::HierarchyConfig;
 use kindle_hscc::HsccConfig;
-use kindle_mem::{MediaFaultConfig, MemConfig};
+use kindle_mem::{Backend, MediaFaultConfig, MemConfig};
 use kindle_os::{DaemonKind, KernelCosts, PtMode};
 use kindle_ssp::SspConfig;
 use kindle_tlb::TwoLevelTlbConfig;
@@ -183,71 +184,72 @@ impl MachineConfig {
     }
 }
 
+/// The settings of one run that reach machines whose construction sites
+/// the caller does not control: the bench harness installs it once from
+/// its flags, [`Machine::new`](crate::Machine::new) reads it, and
+/// `kindle_core::parallel::par_map` carries it onto every worker. It
+/// lives in a host-thread-local (like the sanitizer installation in
+/// `kindle_types::sanitize`); [`RunContext::current`] and
+/// [`RunContext::install`] are the only ways in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunContext {
+    /// Media-fault model for machines whose config leaves `mem.faults`
+    /// unset; an explicit config always wins.
+    pub faults: Option<MediaFaultConfig>,
+    /// Far-tier backend for machines whose config leaves `mem.backend`
+    /// unset; an explicit config always wins.
+    pub backend: Option<Backend>,
+    /// Forces `mem.legacy_maps` on for every machine built; `false`
+    /// leaves configs untouched.
+    pub legacy_maps: bool,
+    /// Worker count for experiment grids (`par_map_cells`); at least 1
+    /// once installed.
+    pub jobs: usize,
+}
+
+impl RunContext {
+    /// Serial, fault-free, default backend and store layout.
+    const DEFAULT: RunContext =
+        RunContext { faults: None, backend: None, legacy_maps: false, jobs: 1 };
+
+    /// The context installed on this thread ([`RunContext::default`]
+    /// unless a guard is live).
+    pub fn current() -> RunContext {
+        CONTEXT.with(Cell::get)
+    }
+
+    /// Installs this context on the current thread, clamping `jobs` to at
+    /// least 1. The guard restores the previous context when dropped,
+    /// unwinding included, so installs nest.
+    pub fn install(self) -> RunContextGuard {
+        let ctx = RunContext { jobs: self.jobs.max(1), ..self };
+        RunContextGuard { prev: CONTEXT.with(|c| c.replace(ctx)), _thread: PhantomData }
+    }
+}
+
+impl Default for RunContext {
+    fn default() -> Self {
+        Self::DEFAULT
+    }
+}
+
 thread_local! {
-    /// Ambient media-fault model, so CLI flags and sweep drivers can
-    /// inject faults into machines whose construction sites they do not
-    /// control (mirrors the thread-local sanitizer installation in
-    /// `kindle_types::sanitize`).
-    static MEDIA_FAULTS: Cell<Option<MediaFaultConfig>> = const { Cell::new(None) };
+    static CONTEXT: Cell<RunContext> = const { Cell::new(RunContext::DEFAULT) };
 }
 
-/// Sets (or with `None` clears) the thread-local media-fault model.
-/// Machines built on this thread whose config leaves `mem.faults` unset
-/// pick it up; an explicit config always wins.
-pub fn set_thread_media_faults(faults: Option<MediaFaultConfig>) {
-    MEDIA_FAULTS.with(|s| s.set(faults));
+/// Restores the context that [`RunContext::install`] shadowed. Not `Send`:
+/// it must drop on the thread whose context it replaced.
+#[must_use = "the context is uninstalled as soon as the guard drops"]
+#[derive(Debug)]
+pub struct RunContextGuard {
+    prev: RunContext,
+    _thread: PhantomData<*const ()>,
 }
 
-/// The ambient media-fault model, if one is set on this thread. Public so
-/// fork-join executors can capture the caller's model and republish it on
-/// each worker thread (thread-locals do not cross host threads).
-pub fn thread_media_faults() -> Option<MediaFaultConfig> {
-    MEDIA_FAULTS.with(Cell::get)
-}
-
-thread_local! {
-    /// Ambient legacy-maps request (`--legacy-maps`), so equivalence
-    /// drivers can flip machines they do not construct onto the legacy
-    /// ordered-map stores. Same publication discipline as
-    /// [`MEDIA_FAULTS`]: captured by fork-join executors and republished
-    /// per worker.
-    static LEGACY_MAPS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Sets (or with `false` clears) the thread-local legacy-maps request.
-/// Machines built on this thread have `mem.legacy_maps` forced on; the
-/// default `false` leaves configs untouched.
-pub fn set_thread_legacy_maps(legacy: bool) {
-    LEGACY_MAPS.with(|s| s.set(legacy));
-}
-
-/// Whether this thread requests legacy ordered-map stores. Public so
-/// fork-join executors can capture and republish it on worker threads.
-pub fn thread_legacy_maps() -> bool {
-    LEGACY_MAPS.with(Cell::get)
-}
-
-thread_local! {
-    /// Ambient far-tier backend choice (`--backend`), so CLI flags and
-    /// sweep drivers can swap the far tier under machines whose
-    /// construction sites they do not control. Same publication
-    /// discipline as [`MEDIA_FAULTS`]: captured by fork-join executors
-    /// and machine snapshots, republished per worker / on restore.
-    static BACKEND: Cell<Option<kindle_mem::Backend>> = const { Cell::new(None) };
-}
-
-/// Sets (or with `None` clears) the thread-local far-tier backend.
-/// Machines built on this thread whose config leaves `mem.backend` unset
-/// pick it up; an explicit config always wins.
-pub fn set_thread_backend(backend: Option<kindle_mem::Backend>) {
-    BACKEND.with(|s| s.set(backend));
-}
-
-/// The ambient far-tier backend, if one is set on this thread. Public so
-/// fork-join executors can capture the caller's choice and republish it
-/// on each worker thread (thread-locals do not cross host threads).
-pub fn thread_backend() -> Option<kindle_mem::Backend> {
-    BACKEND.with(Cell::get)
+impl Drop for RunContextGuard {
+    fn drop(&mut self) {
+        CONTEXT.with(|c| c.set(self.prev));
+    }
 }
 
 impl Default for MachineConfig {

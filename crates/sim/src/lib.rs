@@ -32,9 +32,8 @@ pub mod machine;
 pub mod report;
 
 pub use config::{
-    set_thread_backend, set_thread_legacy_maps, set_thread_media_faults, thread_backend,
-    thread_legacy_maps, thread_media_faults, CheckpointSetup, MachineConfig,
-    DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL,
+    CheckpointSetup, MachineConfig, RunContext, RunContextGuard, DEFAULT_PATROL_INTERVAL,
+    DEFAULT_SCRUB_INTERVAL,
 };
 pub use daemon::{CheckpointDaemon, KernelDaemon, MigrationDaemon, PatrolDaemon, ScrubDaemon};
 pub use hw::Hw;

@@ -19,7 +19,7 @@ use kindle_types::{
     Rng64, VirtAddr, CACHE_LINE,
 };
 
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, RunContext};
 use crate::daemon::{self, DaemonSlot, KernelDaemon};
 use crate::hw::Hw;
 use crate::report::SimReport;
@@ -99,14 +99,15 @@ impl Machine {
     ///
     /// Propagates kernel/engine construction failures.
     pub fn new(mut cfg: MachineConfig) -> Result<Self> {
+        let ctx = RunContext::current();
         if cfg.mem.faults.is_none() {
-            cfg.mem.faults = crate::config::thread_media_faults();
+            cfg.mem.faults = ctx.faults;
         }
-        if crate::config::thread_legacy_maps() {
+        if ctx.legacy_maps {
             cfg.mem.legacy_maps = true;
         }
         if cfg.mem.backend.is_none() {
-            cfg.mem.backend = crate::config::thread_backend();
+            cfg.mem.backend = ctx.backend;
         }
         let mut hw = Hw::new(&cfg);
         let kcfg = KernelConfig {
@@ -993,8 +994,9 @@ impl Machine {
     /// Captures a deep, deterministic snapshot of the whole machine:
     /// hardware pools and data image, caches, TLBs, page tables (they live
     /// in the memory image), redo log and checkpoint area, kernel +
-    /// scheduler + daemon registry, checksum/scrub/patrol state, and the
-    /// ambient fault-model epoch of the capturing thread.
+    /// scheduler + daemon registry, and checksum/scrub/patrol state. The
+    /// resolved config travels with it, so the capturing thread's
+    /// [`RunContext`] is already baked in.
     ///
     /// The copy never carries power-cut wiring: a restored machine arms its
     /// own fresh [`PowerSwitch`] if it wants one. Cloning touches no
@@ -1018,9 +1020,6 @@ impl Machine {
             tlb_shootdowns: self.tlb_shootdowns,
             active_pid: self.active_pid,
             daemons: self.daemons.iter().map(|s| (s.kind, s.tid)).collect(),
-            ambient_faults: crate::config::thread_media_faults(),
-            ambient_legacy: crate::config::thread_legacy_maps(),
-            ambient_backend: crate::config::thread_backend(),
         }
     }
 
@@ -1028,14 +1027,11 @@ impl Machine {
     /// usable, any number of machines can restore from it, and the caller
     /// may be on a different thread than the capturer).
     ///
-    /// Restoring republishes the captured ambient fault-model epoch on the
-    /// calling thread (so machines *constructed* later on this thread see
-    /// the same media-fault model the capturer had) and re-anchors the
-    /// sanitizer's current-thread stamp to the scheduler's running kthread.
+    /// Restoring leaves the calling thread's [`RunContext`] untouched: the
+    /// fork runs the fault model, backend and store layout resolved into
+    /// the captured config. It only re-anchors the sanitizer's
+    /// current-thread stamp to the scheduler's running kthread.
     pub fn restore(snap: &MachineSnapshot) -> Self {
-        crate::config::set_thread_media_faults(snap.ambient_faults.clone());
-        crate::config::set_thread_legacy_maps(snap.ambient_legacy);
-        crate::config::set_thread_backend(snap.ambient_backend);
         let m = Machine {
             cfg: snap.cfg.clone(),
             hw: snap.hw.clone(),
@@ -1086,24 +1082,6 @@ pub struct MachineSnapshot {
     tlb_shootdowns: u64,
     active_pid: Option<u32>,
     daemons: Vec<(DaemonKind, Option<ThreadId>)>,
-    /// The capturing thread's ambient media-fault model
-    /// ([`crate::config::thread_media_faults`]) — the fault-model *epoch*.
-    /// Without it, a worker forking on a thread whose ambient model differs
-    /// (or was never published) would build follow-on machines under a
-    /// different fault regime than the golden run, silently changing stuck
-    /// cells, wear state, and retry behaviour mid-sweep.
-    ambient_faults: Option<kindle_mem::MediaFaultConfig>,
-    /// The capturing thread's ambient legacy-maps request
-    /// ([`crate::config::thread_legacy_maps`]), republished for the same
-    /// reason: follow-on machines a worker builds must pick the same store
-    /// layout as the golden run's.
-    ambient_legacy: bool,
-    /// The capturing thread's ambient far-tier backend choice
-    /// ([`crate::config::thread_backend`]), republished for the same
-    /// reason: follow-on machines a worker builds must run the same
-    /// backend as the golden run's, or timing and fault semantics would
-    /// diverge mid-sweep.
-    ambient_backend: Option<kindle_mem::Backend>,
 }
 
 // Snapshots cross fork-join worker boundaries by shared reference, so the

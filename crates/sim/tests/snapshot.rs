@@ -12,7 +12,7 @@
 
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
+use kindle_sim::{Machine, MachineConfig, MachineSnapshot, RunContext};
 use kindle_types::{AccessKind, Cycles, MapFlags, PhysMem, Prot, VirtAddr, PAGE_SIZE};
 
 const PAGES: u64 = 4;
@@ -158,34 +158,32 @@ fn snapshot_survives_mutation_of_the_original() {
 }
 
 #[test]
-fn snapshot_republishes_ambient_backend_on_restore() {
-    // Sweep forks restore on arbitrary worker threads: the capturer's
-    // ambient far-tier backend must travel with the snapshot (like the
-    // fault model and legacy-maps epoch) so follow-on machines a worker
-    // builds run the same backend as the golden run.
-    kindle_sim::set_thread_backend(Some(kindle_mem::Backend::SttRam));
+fn restore_is_pure_and_keeps_the_captured_backend() {
+    // Sweep forks restore on arbitrary worker threads. The backend the
+    // machine was built with lives in its resolved config, so restore
+    // needs no ambient state and must not touch the caller's context.
+    let ctx = RunContext { backend: Some(kindle_mem::Backend::SttRam), ..RunContext::default() };
+    let guard = ctx.install();
     let m = Machine::new(MachineConfig::small()).unwrap();
     assert_eq!(
         m.hw.mc.backend(),
         kindle_mem::Backend::SttRam,
-        "machines must pick up the ambient backend when the config leaves it unset"
+        "machines must pick up the context backend when the config leaves it unset"
     );
     let snap = m.snapshot();
-    kindle_sim::set_thread_backend(None);
+    drop(guard);
 
+    // Restore under a different context: it must neither leak into the
+    // fork nor be overwritten by the capturer's.
+    let numa = RunContext { backend: Some(kindle_mem::Backend::Numa), ..RunContext::default() };
+    let guard = numa.install();
     let restored = Machine::restore(&snap);
     assert_eq!(restored.hw.mc.backend(), kindle_mem::Backend::SttRam);
-    assert_eq!(
-        kindle_sim::thread_backend(),
-        Some(kindle_mem::Backend::SttRam),
-        "restore must republish the captured ambient backend"
-    );
-    kindle_sim::set_thread_backend(None);
+    assert_eq!(RunContext::current(), numa, "restore must leave the caller's context untouched");
 
-    // An explicit config always beats the ambient choice.
-    kindle_sim::set_thread_backend(Some(kindle_mem::Backend::Numa));
+    // An explicit config always beats the context's choice.
     let explicit = Machine::new(MachineConfig::small().with_backend(kindle_mem::Backend::Cxl));
-    kindle_sim::set_thread_backend(None);
+    drop(guard);
     assert_eq!(explicit.unwrap().hw.mc.backend(), kindle_mem::Backend::Cxl);
 }
 

@@ -6,10 +6,11 @@
 //! through the memory controller's undo snapshots, line checksums, wear
 //! counters and stuck-cell model. The machines below mirror the `hotpath`
 //! bench: lean TLBs, low-associativity caches and the media-fault model
-//! armed. Their final clock and memory counters are pinned exactly, so any
-//! change to the cost of a store on the host must leave the simulated
-//! machine untouched.
+//! armed. Their final clock, memory counters and cache counters are pinned
+//! exactly, so any change to the cost of a store on the host must leave the
+//! simulated machine untouched.
 
+use kindle_cache::HierarchyStats;
 use kindle_mem::{MediaFaultConfig, MemStats};
 use kindle_os::PtMode;
 use kindle_sim::{Machine, MachineConfig};
@@ -37,9 +38,9 @@ fn config(wear_limit: u64, stuck_cells: usize) -> MachineConfig {
 }
 
 /// Faults in a working set, then repeatedly touches it and churns fresh
-/// NVM mappings through fault-in and unmap. Returns the final clock and
-/// the memory counters.
-fn churn(wear_limit: u64, stuck_cells: usize) -> (u64, MemStats) {
+/// NVM mappings through fault-in and unmap. Returns the final clock, the
+/// memory counters and the cache counters.
+fn churn(wear_limit: u64, stuck_cells: usize) -> (u64, MemStats, HierarchyStats) {
     let page = PAGE_SIZE as u64;
     let mut m = Machine::new(config(wear_limit, stuck_cells)).unwrap();
     let pid = m.spawn_process().unwrap();
@@ -58,7 +59,8 @@ fn churn(wear_limit: u64, stuck_cells: usize) -> (u64, MemStats) {
         }
         m.munmap(pid, extra, CHURN_PAGES * page).unwrap();
     }
-    (m.now().as_u64(), m.report().mem)
+    let report = m.report();
+    (m.now().as_u64(), report.mem, report.caches)
 }
 
 /// The pinned memory counters: NVM device traffic, commits, the retry
@@ -80,19 +82,45 @@ fn counters(mem: &MemStats) -> [u64; 11] {
     ]
 }
 
+/// The pinned cache counters: hits, misses and dirty evictions of L1, L2
+/// and the LLC, then the lines written back to memory.
+fn cache_counters(caches: &HierarchyStats) -> [u64; 10] {
+    let (l1, l2, llc) = (&caches.l1, &caches.l2, &caches.llc);
+    [
+        l1.hits,
+        l1.misses,
+        l1.dirty_evictions,
+        l2.hits,
+        l2.misses,
+        l2.dirty_evictions,
+        llc.hits,
+        llc.misses,
+        llc.dirty_evictions,
+        caches.memory_writebacks,
+    ]
+}
+
 #[test]
 fn zero_fill_churn_is_pinned() {
-    let (clock, mem) = churn(4096, 4);
+    let (clock, mem, caches) = churn(4096, 4);
     assert_eq!(clock, 12_406_836);
     assert_eq!(counters(&mem), [21_042, 3_466, 9_572_880, 3_466, 0, 0, 0, 0, 0, 0, 0]);
     assert_eq!(mem.dram.writes, 0, "the churn maps NVM only");
+    assert_eq!(
+        cache_counters(&caches),
+        [22_025, 42_049, 40_098, 58_050, 22_941, 14_169, 16_068, 21_042, 0, 3_466]
+    );
 }
 
 #[test]
 fn worn_and_stuck_zero_fill_churn_is_pinned() {
     // A 40-write endurance budget and dense stuck cells: lines wear out,
     // retries are charged, frames fail and ECP entries are allocated.
-    let (clock, mem) = churn(40, 4096);
+    let (clock, mem, caches) = churn(40, 4096);
     assert_eq!(clock, 20_989_346);
     assert_eq!(counters(&mem), [21_303, 4_536, 9_722_430, 4_536, 2_991, 3, 3, 3, 98, 37, 0]);
+    assert_eq!(
+        cache_counters(&caches),
+        [24_076, 42_305, 40_254, 58_202, 23_202, 14_402, 16_301, 21_303, 0, 4_536]
+    );
 }

@@ -1,4 +1,8 @@
 //! A single set-associative, write-back cache with LRU replacement.
+//!
+//! A cache way is one `u64` word and every set is kept in recency order,
+//! so LRU needs no timestamps: a hit moves its word to the front of the
+//! set, a fill shifts the set down by one and evicts the last word.
 
 use kindle_types::{AccessKind, PhysAddr, CACHE_LINE_SHIFT};
 
@@ -61,30 +65,33 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
+/// Way-word flag: the way holds a line.
+const VALID: u64 = 0b01;
+/// Way-word flag: the line holds modified data.
+const DIRTY: u64 = 0b10;
+/// Flag bits below the tag in a way word.
+const FLAG_BITS: u32 = 2;
 
 /// One cache level. Addresses are tracked at line granularity only (tags, no
 /// data — the memory controller owns the byte image).
+///
+/// Each way is one word, `tag << 2 | DIRTY | VALID`, and an invalid way is
+/// `0`. Every set is kept in recency order: its valid ways come first, most
+/// recently used first, so a way's position is its LRU rank and the set's
+/// last word is the next victim. No tag appears twice in a set.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Every way of every set in one contiguous, set-major allocation: set
-    /// `s` owns `ways[s * assoc .. (s + 1) * assoc]`. A flat array keeps
-    /// construction, full-cache sweeps (flush/invalidate) and — above all —
-    /// clones (machine snapshots fork thousands of machines per crash
-    /// sweep) at memcpy speed instead of one heap allocation per set.
-    ways: Vec<Way>,
+    /// `s` owns `ways[s * assoc .. (s + 1) * assoc]`. A flat array of one
+    /// word per way keeps construction, full-cache sweeps (flush/invalidate)
+    /// and — above all — clones (machine snapshots fork thousands of
+    /// machines per crash sweep) at memcpy speed over the smallest state.
+    ways: Vec<u64>,
     assoc: usize,
     set_mask: u64,
     /// `log2(sets)`: the shift from a line number to its tag.
     set_bits: u32,
-    tick: u64,
     /// Running count of valid ways, maintained on every fill/evict so
     /// [`occupancy`](Self::occupancy) is O(1) instead of a full-array
     /// recount (telemetry reads it per report, and the LLC has 98k ways).
@@ -97,12 +104,11 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         Cache {
-            ways: vec![Way::default(); sets * cfg.assoc],
+            ways: vec![0; sets * cfg.assoc],
             assoc: cfg.assoc,
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
             cfg,
-            tick: 0,
             occupied: 0,
             stats: CacheStats::default(),
         }
@@ -118,104 +124,109 @@ impl Cache {
         &self.stats
     }
 
+    /// The first way of `pa`'s set and `pa`'s tag.
     #[inline]
     fn index(&self, pa: PhysAddr) -> (usize, u64) {
         let line = pa.as_u64() >> CACHE_LINE_SHIFT;
-        ((line & self.set_mask) as usize, line >> self.set_bits)
+        ((line & self.set_mask) as usize * self.assoc, line >> self.set_bits)
+    }
+
+    /// Position of `tag` within the set whose first way is `base`.
+    #[inline]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let want = tag << FLAG_BITS | VALID;
+        self.ways[base..base + self.assoc].iter().position(|&w| w & !DIRTY == want)
+    }
+
+    /// Base address of the line a way word holds in the set at `base`.
+    fn line_of(&self, base: usize, word: u64) -> PhysAddr {
+        let set = (base / self.assoc) as u64;
+        PhysAddr::new(((word >> FLAG_BITS << self.set_bits) | set) << CACHE_LINE_SHIFT)
     }
 
     /// Looks up `pa`; on hit updates LRU (and dirtiness for writes) and
     /// returns `true`. Counts the access in the stats.
     pub fn lookup(&mut self, pa: PhysAddr, kind: AccessKind) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.stamp = tick;
-                if kind.is_write() {
-                    way.dirty = true;
-                }
-                self.stats.hits += 1;
-                return true;
-            }
+        let (base, tag) = self.index(pa);
+        let Some(p) = self.find(base, tag) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        let mut word = self.ways[base + p];
+        if kind.is_write() {
+            word |= DIRTY;
         }
-        self.stats.misses += 1;
-        false
+        self.ways.copy_within(base..base + p, base + 1);
+        self.ways[base] = word;
+        self.stats.hits += 1;
+        true
     }
 
     /// Inserts the line containing `pa` (after a miss), evicting the LRU way
     /// if the set is full. `dirty` marks the inserted line as modified.
+    ///
+    /// The line must not be present: callers insert only after a miss or a
+    /// failed [`probe`](Self::probe).
     pub fn insert(&mut self, pa: PhysAddr, dirty: bool) -> Option<Eviction> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        // Reuse an invalid way if present.
-        if let Some(way) = ways.iter_mut().find(|w| !w.valid) {
-            *way = Way { tag, valid: true, dirty, stamp: tick };
+        debug_assert!(!self.probe(pa), "inserted {pa:?} twice into {}", self.cfg.name);
+        let (base, tag) = self.index(pa);
+        let last = base + self.assoc - 1;
+        let victim = self.ways[last];
+        self.ways.copy_within(base..last, base + 1);
+        self.ways[base] = tag << FLAG_BITS | if dirty { DIRTY } else { 0 } | VALID;
+        if victim == 0 {
             self.occupied += 1;
             return None;
         }
-        let victim = ways.iter_mut().min_by_key(|w| w.stamp).expect("associativity >= 1");
-        let evicted_line = ((victim.tag << self.set_bits) | set as u64) << CACHE_LINE_SHIFT;
-        let ev = Eviction { line: PhysAddr::new(evicted_line), dirty: victim.dirty };
+        let ev = Eviction { line: self.line_of(base, victim), dirty: victim & DIRTY != 0 };
         if ev.dirty {
             self.stats.dirty_evictions += 1;
         }
-        *victim = Way { tag, valid: true, dirty, stamp: tick };
         Some(ev)
     }
 
     /// True if the line is present (does not update LRU or stats).
     pub fn probe(&self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        self.ways[base..base + self.assoc].iter().any(|w| w.valid && w.tag == tag)
+        let (base, tag) = self.index(pa);
+        self.find(base, tag).is_some()
     }
 
     /// Clears the dirty bit of the line if present; returns whether it was
-    /// dirty (i.e. a write-back is needed). The line stays valid (`clwb`).
+    /// dirty (i.e. a write-back is needed). The line stays valid (`clwb`)
+    /// and keeps its LRU rank.
     pub fn writeback_line(&mut self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                let was = way.dirty;
-                way.dirty = false;
-                return was;
-            }
-        }
-        false
+        let (base, tag) = self.index(pa);
+        let Some(p) = self.find(base, tag) else { return false };
+        let word = &mut self.ways[base + p];
+        let was = *word & DIRTY != 0;
+        *word &= !DIRTY;
+        was
     }
 
     /// Invalidates the line if present; returns whether it was dirty.
     pub fn invalidate_line(&mut self, pa: PhysAddr) -> bool {
-        let (set, tag) = self.index(pa);
-        let base = set * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                self.occupied -= 1;
-                return way.dirty;
-            }
-        }
-        false
+        let (base, tag) = self.index(pa);
+        let Some(p) = self.find(base, tag) else { return false };
+        let word = self.ways[base + p];
+        let end = base + self.assoc;
+        self.ways.copy_within(base + p + 1..end, base + p);
+        self.ways[end - 1] = 0;
+        self.occupied -= 1;
+        word & DIRTY != 0
     }
 
     /// Clears all dirty bits, returning the base addresses of lines that
-    /// were dirty (a full write-back flush).
+    /// were dirty (a full write-back flush). Lines come in set order, and
+    /// in recency order (most recent first) within a set; callers that need
+    /// another order must sort.
     pub fn writeback_all(&mut self) -> Vec<PhysAddr> {
-        let (assoc, set_bits) = (self.assoc, self.set_bits);
         let mut out = Vec::new();
-        for (set, ways) in self.ways.chunks_mut(assoc).enumerate() {
-            for way in ways.iter_mut() {
-                if way.valid && way.dirty {
-                    way.dirty = false;
-                    let line = ((way.tag << set_bits) | set as u64) << CACHE_LINE_SHIFT;
-                    out.push(PhysAddr::new(line));
+        for base in (0..self.ways.len()).step_by(self.assoc) {
+            for i in base..base + self.assoc {
+                let word = self.ways[i];
+                if word & DIRTY != 0 {
+                    self.ways[i] = word & !DIRTY;
+                    out.push(self.line_of(base, word));
                 }
             }
         }
@@ -225,10 +236,7 @@ impl Cache {
     /// Drops every line (power loss). Dirty data is *lost*, which is exactly
     /// the hazard NVM consistency mechanisms guard against.
     pub fn invalidate_all(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-            way.dirty = false;
-        }
+        self.ways.fill(0);
         self.occupied = 0;
     }
 
@@ -243,7 +251,7 @@ impl Cache {
     /// [`occupancy`](Self::occupancy) counter.
     #[doc(hidden)]
     pub fn recount_occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.iter().filter(|&&w| w & VALID != 0).count()
     }
 }
 
@@ -367,7 +375,9 @@ mod tests {
                     }
                 }
                 2 => {
-                    c.insert(pa, false);
+                    if !c.probe(pa) {
+                        c.insert(pa, false);
+                    }
                 }
                 3 => {
                     c.invalidate_line(pa);

@@ -10,7 +10,7 @@ use kindle_core::types::sanitize::{self, Installed, InvariantChecker, ViolationL
 /// Flag summary printed when an unknown or malformed argument is seen.
 pub const USAGE: &str = "[--quick] [--sanitize] [--faults <seed>] [--stuck <N>] \
      [--patrol <interval-us>] [--jobs <N>] [--csv <path>] [--json <path>] [--plot <path>] \
-     [--timing <path>] [--verify-replay] [--legacy-maps] [--backend <name>]";
+     [--timing <path>] [--verify-replay] [--backend <name>]";
 
 /// Per-line ECP correction budget armed alongside `--stuck`: two entries
 /// absorb every realistically seeded cell (three uniform cells landing in
@@ -57,12 +57,6 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 /// * `--verify-replay` asks sweep-style binaries to cross-check the
 ///   snapshot-forked execution against the replay-from-zero oracle
 ///   ([`Harness::verify_replay`]); the digests must be byte-identical.
-/// * `--legacy-maps` makes every machine the experiment builds use the
-///   legacy ordered-map memory-controller stores instead of the flat
-///   direct-indexed tables. Output must be byte-identical;
-///   only throughput changes (this is the `hotpath` benchmark's
-///   comparison baseline, and an escape hatch for bisecting the flat
-///   layout).
 /// * `--backend <name>` swaps the far-tier memory backend
 ///   ([`mem::Backend::registry`]: `pcm`, `numa`, `sttram`, `cxl`, ...)
 ///   under every machine the experiment builds. The default `pcm` is
@@ -70,7 +64,7 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 ///   listing the registered backends. The resolved name is echoed in
 ///   every `--json` envelope.
 ///
-/// `--faults`, `--legacy-maps`, `--backend` and `--jobs` form the
+/// `--faults`, `--backend` and `--jobs` form the
 /// [`RunContext`] the harness installs for its lifetime; `par_map`
 /// carries it onto every worker.
 ///
@@ -145,7 +139,6 @@ impl Harness {
         let mut plot_path = None;
         let mut timing_path = None;
         let mut verify_replay = false;
-        let mut legacy_maps = false;
         let mut backend = None;
         let mut it = args.iter().skip(1);
         while let Some(arg) = it.next() {
@@ -196,7 +189,6 @@ impl Harness {
                     timing_path = Some(it.next().ok_or("--timing requires a path")?.clone());
                 }
                 "--verify-replay" => verify_replay = true,
-                "--legacy-maps" => legacy_maps = true,
                 "--backend" => {
                     let v = it.next().ok_or_else(|| {
                         format!("--backend requires a name (registered: {})", mem::Backend::names())
@@ -226,7 +218,7 @@ impl Harness {
         });
         // `backend` stays `None` unless the flag was passed: the unset
         // default must stay byte-identical to the pre-backend harness.
-        let ctx = RunContext { faults, backend, legacy_maps, jobs }.install();
+        let ctx = RunContext { faults, backend, jobs }.install();
         let (guard, log) = if sanitize_requested {
             let checker = InvariantChecker::new();
             let log = checker.log();
@@ -414,16 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn harness_legacy_maps_arms_machines_until_finish() {
-        let h = Harness::from_arg_list(&args(&["bin", "--legacy-maps"]));
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert!(m.config().mem.legacy_maps, "flag must reach every machine built on this thread");
-        h.finish().unwrap();
-        let clean = Machine::new(MachineConfig::small()).unwrap();
-        assert!(!clean.config().mem.legacy_maps, "finish must clear the ambient request");
-    }
-
-    #[test]
     fn harness_backend_arms_machines_until_finish() {
         let h = Harness::from_arg_list(&args(&["bin", "--backend", "numa"]));
         assert_eq!(h.backend(), mem::Backend::Numa);
@@ -457,8 +439,12 @@ mod tests {
 
     #[test]
     fn harness_rejects_unknown_flags() {
-        let err = Harness::try_from_arg_list(&args(&["bin", "--quik"])).err().unwrap();
-        assert!(err.contains("unknown flag: --quik"), "{err}");
+        // A removed flag is unknown too: scripts that still pass it must
+        // get an error, not a run that quietly ignores it.
+        for flag in ["--quik", "--legacy-maps"] {
+            let err = Harness::try_from_arg_list(&args(&["bin", flag])).err().unwrap();
+            assert!(err.contains(&format!("unknown flag: {flag}")), "{err}");
+        }
         // Valid flags after the bad one must not mask the rejection.
         let err = Harness::try_from_arg_list(&args(&["bin", "--bogus", "--sanitize"]));
         assert!(err.is_err());

@@ -13,7 +13,7 @@
 //! | KD009 | NVM-mutating primitives in `mem`/`os`/`persist` emit their sanitize event on every path, or sit inside a checkpoint bracket |
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
 //! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
-//! | KD012 | no `BTreeMap`/`BTreeSet` in `crates/mem` hot-path modules (flat tables only; `legacy.rs` is the allowlisted cold path) |
+//! | KD012 | no `BTreeMap`/`BTreeSet` in any `crates/mem` source file (flat tables only) |
 //! | KD013 | no direct `NvmConfig` latency/endurance field access outside the `crates/mem` backend modules (go through `MemoryBackend`) |
 //!
 //! (KD005, the external-dependency rule, lives in [`crate::manifest`].)
@@ -61,14 +61,6 @@ const THREAD_HOME: &str = "crates/core/src/parallel.rs";
 /// Ambient state anywhere else would have to be copied onto workers by
 /// hand — the drift this rule exists to prevent.
 const THREAD_LOCAL_HOMES: &[&str] = &["crates/types/src/sanitize.rs", "crates/sim/src/config.rs"];
-
-/// The `crates/mem` files allowed to keep ordered maps (KD012): the
-/// legacy store implementations preserved as the `--legacy-maps`
-/// equivalence baseline. Everything else in the memory controller is
-/// hot-path and must use the direct-indexed flat tables — a `BTreeMap`
-/// reintroduced there is a performance regression the type system cannot
-/// catch.
-const MEM_MAP_ALLOW: &[&str] = &["crates/mem/src/legacy.rs"];
 
 /// `NvmConfig` latency/endurance fields whose direct access is banned
 /// outside the backend modules (KD013). Every other layer reads timing
@@ -154,7 +146,10 @@ pub fn check_source(rel_path: &str, krate: Option<&str>, source: &str) -> Vec<Di
     let no_panic = krate.map(is_no_panic_crate).unwrap_or(false);
     let types_crate = krate == Some("types");
     let nvm_discipline = krate.map(is_nvm_discipline_crate).unwrap_or(false);
-    let mem_hot = rel_path.starts_with("crates/mem/") && !MEM_MAP_ALLOW.contains(&rel_path);
+    // KD012: the memory controller is hot-path throughout and must use the
+    // direct-indexed flat tables. A `BTreeMap` reintroduced in any of its
+    // files is a performance regression the type system cannot catch.
+    let mem_hot = rel_path.starts_with("crates/mem/");
     let nvm_fields_banned = !NVM_FIELD_ALLOW.contains(&rel_path);
 
     let mut out = Vec::new();
@@ -355,9 +350,8 @@ fn message_of(rule: &str) -> &'static str {
              reach a panic"
         }
         "KD012" => {
-            "ordered map in a memory-controller hot-path module; use the \
-             direct-indexed flat tables (crates/mem/src/store.rs) — only the \
-             legacy equivalence baseline (legacy.rs) may keep BTreeMap/BTreeSet"
+            "ordered map in the memory controller's hot path; use the \
+             direct-indexed flat tables (crates/mem/src/store.rs)"
         }
         "KD013" => {
             "direct NvmConfig latency/endurance field access outside the \
@@ -711,13 +705,19 @@ mod tests {
     }
 
     #[test]
-    fn kd012_flags_ordered_maps_in_mem_hot_path_only() {
+    fn kd012_flags_ordered_maps_in_every_mem_file_only() {
         let src = "use std::collections::BTreeMap;\nlet s: BTreeSet<u64>;\n";
-        let d = check_source("crates/mem/src/controller.rs", Some("mem"), src);
-        assert_eq!(rules_of(&d), ["KD012", "KD012"]);
-        // The legacy equivalence baseline is the allowlisted cold path.
-        let d = check_source("crates/mem/src/legacy.rs", Some("mem"), src);
-        assert!(d.is_empty(), "{d:?}");
+        // No crates/mem source file is exempt: every real one fires.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../mem/src");
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).expect("crates/mem/src") {
+            let name = entry.expect("readable entry").file_name();
+            let path = format!("crates/mem/src/{}", name.to_string_lossy());
+            let d = check_source(&path, Some("mem"), src);
+            assert_eq!(rules_of(&d), ["KD012", "KD012"], "{path}");
+            files += 1;
+        }
+        assert!(files > 1, "crates/mem/src lists its modules");
         // Other crates are KD002 territory, not KD012's.
         let d = check_source("crates/os/src/x.rs", Some("os"), src);
         assert!(d.is_empty(), "{d:?}");

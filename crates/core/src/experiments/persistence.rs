@@ -462,18 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn fig4a_rows_are_layout_invariant() {
-        // Flat vs legacy controller stores (the bench harness's
-        // --legacy-maps) must produce byte-identical rows: the store
-        // layout is a host-side data structure, never a simulated one.
-        let flat = run_fig4a(&Fig4aParams::quick()).unwrap();
-        let guard = RunContext { legacy_maps: true, ..RunContext::default() }.install();
-        let legacy = run_fig4a(&Fig4aParams::quick());
-        drop(guard);
-        assert_eq!(flat, legacy.unwrap(), "legacy maps changed a Fig. 4a row");
-    }
-
-    #[test]
     fn fig4a_rows_are_backend_pcm_invariant() {
         // PCM through the MemoryBackend trait (the bench harness's
         // --backend pcm) must be byte-identical to the pre-trait default

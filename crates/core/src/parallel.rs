@@ -226,7 +226,6 @@ mod tests {
         let caller = RunContext {
             faults: Some(kindle_mem::MediaFaultConfig::with_seed(77)),
             backend: Some(kindle_mem::Backend::Cxl),
-            legacy_maps: true,
             jobs: 4,
         };
         let guard = caller.install();

@@ -1,10 +1,9 @@
 //! Backend invariance of the crash sweeps.
 //!
 //! The far-tier backend travels in the run context with the media-fault
-//! model and the legacy-maps request: installed by the bench harness
-//! (`--backend`), resolved into each machine's config by `Machine::new`,
-//! and carried onto every sweep worker by `par_map`. Three properties
-//! must hold:
+//! model: installed by the bench harness (`--backend`), resolved into each
+//! machine's config by `Machine::new`, and carried onto every sweep worker
+//! by `par_map`. Three properties must hold:
 //!
 //! 1. `--backend pcm` is byte-identical to not passing the flag — the
 //!    PCM instance is an observation-equivalence refactor — at any

@@ -161,11 +161,6 @@ pub struct MemConfig {
     /// (on by default; off exists so equivalence tests can prove the fast
     /// path changes no observable output).
     pub mru_page_cache: bool,
-    /// Use the legacy ordered-map stores for pages, checksums and undo
-    /// state instead of the direct-indexed flat tables (off by default;
-    /// on exists so equivalence tests and the `hotpath` bench can prove
-    /// the flat layout changes no observable output).
-    pub legacy_maps: bool,
     /// Far-tier backend selection. `None` (the default) means PCM with
     /// this config's `nvm` timings — byte-identical to the pre-trait
     /// path. `Some(b)` routes timing, fault filtering, patrol
@@ -185,7 +180,6 @@ impl MemConfig {
             layout: E820Map::flat(dram_bytes, nvm_bytes),
             faults: None,
             mru_page_cache: true,
-            legacy_maps: false,
             backend: None,
         }
     }

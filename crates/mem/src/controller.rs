@@ -29,7 +29,7 @@ use crate::dram::DramDevice;
 use crate::e820::E820Map;
 use crate::nvm::{CorrectionOutcome, MediaFaults, NvmDevice, WriteOutcome};
 use crate::stats::MemStats;
-use crate::store::{is_zero, FrameSet, PageBox, PageStore, SumStore, UndoStore};
+use crate::store::{is_zero, FrameSet, PageArena, PageBox, SumStore, UndoTable};
 
 /// Checksum of an all-zero line. The kernel zero-fills every new frame
 /// and initialises persistent page-table pages line by line, so most
@@ -109,9 +109,8 @@ pub struct MemoryController {
     layout: E820Map,
     dram: DramDevice,
     nvm: NvmDevice,
-    /// Sparse volatile image: what loads observe. Pfn-indexed flat arena
-    /// by default, the legacy ordered map under `MemConfig::legacy_maps`.
-    pages: PageStore,
+    /// Sparse volatile image: what loads observe, in a pfn-indexed arena.
+    pages: PageArena,
     /// Single-entry MRU page cache: the one page most recently touched,
     /// held *out* of `pages` so the common same-page-as-last-access case
     /// skips the store lookup entirely. Disjoint from `pages` by
@@ -122,11 +121,11 @@ pub struct MemoryController {
     mru_enabled: bool,
     /// Durable snapshots for dirtied-but-not-committed NVM lines, keyed by
     /// line base address.
-    nvm_undo: UndoStore,
+    nvm_undo: UndoTable,
     /// When power-cut injection is armed: the previous *durable* value of
     /// each line committed into the device write buffer and not yet
     /// drained. A power cut tears or drops these per the buffer state.
-    wbuf_undo: UndoStore,
+    wbuf_undo: UndoTable,
     /// Power-cut arming (None = classic ADR semantics: committed == durable).
     power: Option<PowerSwitch>,
     /// Device-pending lines captured at the instant the power cut was first
@@ -194,16 +193,16 @@ impl MemoryController {
             layout: cfg.layout.clone(),
             dram: DramDevice::new(cfg.dram.clone()),
             nvm: NvmDevice::new(nvm_cfg.clone()),
-            pages: PageStore::new(cfg.legacy_maps, frames),
+            pages: PageArena::with_frames(frames),
             mru: None,
             mru_enabled: cfg.mru_page_cache,
-            nvm_undo: UndoStore::new(cfg.legacy_maps, nvm_base),
-            wbuf_undo: UndoStore::new(cfg.legacy_maps, nvm_base),
+            nvm_undo: UndoTable::with_base(nvm_base),
+            wbuf_undo: UndoTable::with_base(nvm_base),
             power: None,
             cut_pending: None,
             last_now: Cycles::ZERO,
             media,
-            nvm_sums: SumStore::new(cfg.legacy_maps, nvm_base),
+            nvm_sums: SumStore::with_base(nvm_base),
             failed_frames: Vec::new(),
             failed_set: FrameSet::with_base(nvm_base >> PAGE_SHIFT),
             retry_limit: faults.as_ref().map_or(0, |f| f.retry_limit),
@@ -1247,68 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_maps_is_observation_equivalent() {
-        let cfg_flat = MemConfig::with_capacities(16 << 20, 16 << 20);
-        let mut cfg_legacy = cfg_flat.clone();
-        cfg_legacy.legacy_maps = true;
-        assert!(!cfg_flat.legacy_maps, "flat stores must default on");
-        let dram_pa = PhysAddr::new(0x1000);
-        let nvm_pa = cfg_flat.layout.range(MemKind::Nvm).base + 0x1000;
-        let mut flat = MemoryController::new(&cfg_flat);
-        let mut legacy = MemoryController::new(&cfg_legacy);
-        let a = mru_workload(&mut flat, dram_pa, nvm_pa);
-        let b = mru_workload(&mut legacy, dram_pa, nvm_pa);
-        assert_eq!(a, b, "flat stores must not change any observable byte");
-        assert_eq!(flat.stats(), legacy.stats(), "nor any statistic");
-    }
-
-    #[test]
-    fn legacy_maps_equivalent_with_media_and_torn_crash() {
-        // Exercises every flattened store at once: pages (stores/loads),
-        // nvm_sums (media armed records checksums; patrol reads them),
-        // nvm_undo/wbuf_undo (armed power cut, commit, torn crash).
-        let run = |legacy: bool| -> (Vec<u8>, MemStats, PatrolOutcome) {
-            let mut cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
-            cfg.legacy_maps = legacy;
-            cfg.faults = Some(MediaFaultConfig {
-                stuck_cells: 0,
-                wear_limit: 0,
-                correction_entries: 2,
-                ..MediaFaultConfig::with_seed(11)
-            });
-            let nvm_pa = cfg.layout.range(MemKind::Nvm).base + 0x3000;
-            let mut m = MemoryController::new(&cfg);
-            let switch = PowerSwitch::new();
-            m.arm_power_cut(switch.clone());
-            for round in 0..4u64 {
-                for i in 0..300u64 {
-                    m.store_bytes(nvm_pa + i * 64, &[(round + i) as u8; 64]);
-                    if i % 3 == 0 {
-                        m.commit_line(nvm_pa + i * 64);
-                    }
-                }
-            }
-            m.commit_all();
-            for i in 0..8u64 {
-                m.store_bytes(nvm_pa + i * 64, &[0xEE; 64]);
-                m.commit_line(nvm_pa + i * 64);
-            }
-            switch.cut();
-            let mut rng = Rng64::new(7);
-            m.crash_torn(&mut rng);
-            let patrol = m.patrol_frame(nvm_pa.page_base().as_u64());
-            let mut observed = vec![0u8; 300 * 64];
-            m.load_bytes(nvm_pa, &mut observed);
-            (observed, m.stats(), patrol)
-        };
-        let (bytes_flat, stats_flat, patrol_flat) = run(false);
-        let (bytes_legacy, stats_legacy, patrol_legacy) = run(true);
-        assert_eq!(bytes_flat, bytes_legacy, "post-crash image must match byte for byte");
-        assert_eq!(stats_flat, stats_legacy, "every counter must match");
-        assert_eq!(patrol_flat, patrol_legacy, "patrol verdicts must match");
-    }
-
-    #[test]
     fn backend_pcm_is_observation_equivalent() {
         let cfg_direct = MemConfig::with_capacities(16 << 20, 16 << 20);
         let mut cfg_trait = cfg_direct.clone();
@@ -1331,8 +1268,11 @@ mod tests {
 
     #[test]
     fn backend_pcm_equivalent_with_media_and_torn_crash() {
-        // Same armed-media torn-crash gauntlet as the legacy-maps proof,
-        // but comparing the pre-trait default path against backend=Pcm.
+        // An armed-media torn-crash gauntlet that exercises every store at
+        // once: pages (stores/loads), nvm_sums (media armed records
+        // checksums; patrol reads them), nvm_undo/wbuf_undo (armed power
+        // cut, commit, torn crash). Compares the pre-trait default path
+        // against backend=Pcm.
         let run = |backend: Option<Backend>| -> (Vec<u8>, MemStats, PatrolOutcome) {
             let mut cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
             cfg.backend = backend;

@@ -26,7 +26,6 @@ pub mod config;
 pub mod controller;
 pub mod dram;
 pub mod e820;
-pub mod legacy;
 pub mod nvm;
 pub mod stats;
 pub mod store;

@@ -8,23 +8,20 @@
 //!
 //! * [`PageArena`] — a pfn-indexed chunked arena for the volatile page
 //!   image (two array indexings per page lookup),
-//! * a checksum store built on [`kindle_types::SumTable`] (validity bit,
-//!   because 0 is a legal FNV digest),
+//! * [`SumStore`] — the checksum store, built on [`kindle_types::SumTable`]
+//!   (validity bit, because 0 is a legal FNV digest),
 //! * [`UndoTable`] — an epoch-tagged flat slot table plus a dirty-line
 //!   list, so arming a power cut costs O(dirty lines) and a store's
 //!   insert-if-absent is O(1); rollback iterates the dirty list.
 //!
-//! Each store also has a legacy ordered-map twin in [`crate::legacy`],
-//! selected by `MemConfig::legacy_maps`, so equivalence tests and the
-//! `hotpath` bench can hold the two layouts side by side. Everything
-//! observable — event order, iteration order at commit/rollback, byte
-//! images — is identical between the variants: wherever the old maps
-//! iterated in key order, the flat stores sort the (small) live set
-//! before iterating.
+//! Everything observable — event order, iteration order at
+//! commit/rollback, byte images — is what an ordered map keyed by pfn or
+//! line would give: wherever such a map would iterate in key order, the
+//! flat stores sort the (small) live set before iterating.
+//! `tests/store_model.rs` and `tests/undo_model.rs` check the stores
+//! against `BTreeMap` reference models.
 
 use kindle_types::{LineTable, SumTable, CACHE_LINE_SHIFT, PAGE_SIZE};
-
-use crate::legacy::{LegacyPages, LegacySums, LegacyUndo};
 
 /// A whole simulated page, boxed so map/arena moves are pointer-sized.
 pub type PageBox = Box<[u8; PAGE_SIZE]>;
@@ -104,6 +101,7 @@ impl PageArena {
         *self.slot_mut(pfn) = Some(page);
     }
 
+    /// Drops every page whose pfn fails `keep` (the crash-wipe retain).
     pub fn retain_frames(&mut self, keep: impl Fn(u64) -> bool) {
         for (c, chunk) in self.chunks.iter_mut().enumerate() {
             let Some(chunk) = chunk else { continue };
@@ -116,105 +114,27 @@ impl PageArena {
     }
 }
 
-/// The volatile page image, in either layout.
+/// The per-line reference checksums: a [`SumTable`] indexed by the line's
+/// offset into the NVM range. Sums are only ever recorded for NVM lines,
+/// so out-of-range reads simply miss.
 #[derive(Clone, Debug)]
-pub enum PageStore {
-    Flat(PageArena),
-    Legacy(LegacyPages),
-}
-
-impl PageStore {
-    /// Builds the store `MemConfig::legacy_maps` asks for, sizing the flat
-    /// arena's spine for `frames` page frames.
-    pub fn new(legacy: bool, frames: u64) -> Self {
-        if legacy {
-            PageStore::Legacy(LegacyPages::default())
-        } else {
-            PageStore::Flat(PageArena::with_frames(frames))
-        }
-    }
-
-    pub fn get(&self, pfn: u64) -> Option<&[u8; PAGE_SIZE]> {
-        match self {
-            PageStore::Flat(a) => a.get(pfn),
-            PageStore::Legacy(m) => m.get(pfn),
-        }
-    }
-
-    pub fn get_mut(&mut self, pfn: u64) -> Option<&mut [u8; PAGE_SIZE]> {
-        match self {
-            PageStore::Flat(a) => a.get_mut(pfn),
-            PageStore::Legacy(m) => m.get_mut(pfn),
-        }
-    }
-
-    pub fn get_mut_or_alloc(&mut self, pfn: u64) -> &mut [u8; PAGE_SIZE] {
-        match self {
-            PageStore::Flat(a) => a.get_mut_or_alloc(pfn),
-            PageStore::Legacy(m) => m.get_mut_or_alloc(pfn),
-        }
-    }
-
-    /// Number of pages holding an image.
-    pub fn page_count(&self) -> usize {
-        match self {
-            PageStore::Flat(a) => a.page_count(),
-            PageStore::Legacy(m) => m.page_count(),
-        }
-    }
-
-    pub fn remove(&mut self, pfn: u64) -> Option<PageBox> {
-        match self {
-            PageStore::Flat(a) => a.remove(pfn),
-            PageStore::Legacy(m) => m.remove(pfn),
-        }
-    }
-
-    pub fn insert(&mut self, pfn: u64, page: PageBox) {
-        match self {
-            PageStore::Flat(a) => a.insert(pfn, page),
-            PageStore::Legacy(m) => m.insert(pfn, page),
-        }
-    }
-
-    /// Drops every page whose pfn fails `keep` (the crash-wipe retain).
-    pub fn retain_frames(&mut self, keep: impl Fn(u64) -> bool) {
-        match self {
-            PageStore::Flat(a) => a.retain_frames(keep),
-            PageStore::Legacy(m) => m.retain_frames(keep),
-        }
-    }
-}
-
-/// The per-line reference checksums, in either layout. The flat side
-/// indexes a [`SumTable`] by the line's offset into the NVM range; sums
-/// are only ever recorded for NVM lines, so out-of-range reads simply
-/// miss (matching the map).
-#[derive(Clone, Debug)]
-pub enum SumStore {
-    Flat { base: u64, table: SumTable },
-    Legacy(LegacySums),
+pub struct SumStore {
+    base: u64,
+    table: SumTable,
 }
 
 impl SumStore {
-    /// Builds the store for an NVM range starting at `nvm_base`.
-    pub fn new(legacy: bool, nvm_base: u64) -> Self {
-        if legacy {
-            SumStore::Legacy(LegacySums::default())
-        } else {
-            SumStore::Flat { base: nvm_base, table: SumTable::default() }
-        }
+    /// An empty store for an NVM range starting at `nvm_base`.
+    pub fn with_base(nvm_base: u64) -> Self {
+        SumStore { base: nvm_base, table: SumTable::default() }
     }
 
-    fn index(base: u64, line: u64) -> Option<usize> {
-        line.checked_sub(base).map(|off| (off >> CACHE_LINE_SHIFT) as usize)
+    fn index(&self, line: u64) -> Option<usize> {
+        line.checked_sub(self.base).map(|off| (off >> CACHE_LINE_SHIFT) as usize)
     }
 
     pub fn get(&self, line: u64) -> Option<u64> {
-        match self {
-            SumStore::Flat { base, table } => Self::index(*base, line).and_then(|i| table.get(i)),
-            SumStore::Legacy(m) => m.get(line),
-        }
+        self.index(line).and_then(|i| self.table.get(i))
     }
 
     pub fn contains(&self, line: u64) -> bool {
@@ -222,16 +142,11 @@ impl SumStore {
     }
 
     pub fn insert(&mut self, line: u64, sum: u64) {
-        match self {
-            SumStore::Flat { base, table } => {
-                let Some(i) = Self::index(*base, line) else {
-                    debug_assert!(false, "checksum recorded for non-NVM line {line:#x}");
-                    return;
-                };
-                table.set(i, sum);
-            }
-            SumStore::Legacy(m) => m.insert(line, sum),
-        }
+        let Some(i) = self.index(line) else {
+            debug_assert!(false, "checksum recorded for non-NVM line {line:#x}");
+            return;
+        };
+        self.table.set(i, sum);
     }
 }
 
@@ -325,6 +240,8 @@ impl UndoTable {
         self.pos(line).is_some()
     }
 
+    /// First-write-wins insert: a line already snapshotted keeps its
+    /// original (oldest) image.
     pub fn insert_absent(&mut self, line: u64, snap: LineSnap) {
         if self.contains(line) {
             return;
@@ -432,77 +349,6 @@ impl UndoTable {
         for pos in 0..self.entries.len() {
             let idx = self.index(self.entries[pos].line).expect("live entry is in range");
             self.slots.set(idx, self.pack(pos));
-        }
-    }
-}
-
-/// Undo snapshots (`nvm_undo` / `wbuf_undo`), in either layout.
-#[derive(Clone, Debug)]
-pub enum UndoStore {
-    Flat(UndoTable),
-    Legacy(LegacyUndo),
-}
-
-impl UndoStore {
-    /// Builds the store for an NVM range starting at `nvm_base`.
-    pub fn new(legacy: bool, nvm_base: u64) -> Self {
-        if legacy {
-            UndoStore::Legacy(LegacyUndo::default())
-        } else {
-            UndoStore::Flat(UndoTable::with_base(nvm_base))
-        }
-    }
-
-    pub fn contains(&self, line: u64) -> bool {
-        match self {
-            UndoStore::Flat(t) => t.contains(line),
-            UndoStore::Legacy(m) => m.contains(line),
-        }
-    }
-
-    /// First-write-wins insert: a line already snapshotted keeps its
-    /// original (oldest) image.
-    pub fn insert_absent(&mut self, line: u64, snap: LineSnap) {
-        match self {
-            UndoStore::Flat(t) => t.insert_absent(line, snap),
-            UndoStore::Legacy(m) => m.insert_absent(line, snap),
-        }
-    }
-
-    pub fn remove(&mut self, line: u64) -> Option<LineSnap> {
-        match self {
-            UndoStore::Flat(t) => t.remove(line),
-            UndoStore::Legacy(m) => m.remove(line),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            UndoStore::Flat(t) => t.len(),
-            UndoStore::Legacy(m) => m.len(),
-        }
-    }
-
-    /// Takes every entry in ascending line order, leaving the store empty.
-    pub fn drain_sorted(&mut self) -> Vec<(u64, LineSnap)> {
-        match self {
-            UndoStore::Flat(t) => t.drain_sorted(),
-            UndoStore::Legacy(m) => m.drain_sorted(),
-        }
-    }
-
-    pub fn clear(&mut self) {
-        match self {
-            UndoStore::Flat(t) => t.clear(),
-            UndoStore::Legacy(m) => m.clear(),
-        }
-    }
-
-    /// Keeps only the lines present in `pending`.
-    pub fn retain_pending(&mut self, pending: &[u64]) {
-        match self {
-            UndoStore::Flat(t) => t.retain_pending(pending),
-            UndoStore::Legacy(m) => m.retain_pending(pending),
         }
     }
 }

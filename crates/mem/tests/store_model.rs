@@ -89,10 +89,9 @@ impl Nvm {
     }
 }
 
-fn run(seed: u64, legacy: bool, torn: bool) {
+fn run(seed: u64, torn: bool) {
     let mut rng = Rng64::new(seed);
     let mut cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
-    cfg.legacy_maps = legacy;
     cfg.faults = Some(MediaFaultConfig {
         stuck_cells: 0,
         wear_limit: 40,
@@ -247,20 +246,13 @@ fn run(seed: u64, legacy: bool, torn: bool) {
 #[test]
 fn random_stores_match_the_model_across_a_crash() {
     for seed in 0..24 {
-        run(seed, false, false);
+        run(seed, false);
     }
 }
 
 #[test]
 fn random_stores_match_the_model_across_a_torn_crash() {
     for seed in 0..24 {
-        run(seed, false, true);
-    }
-}
-
-#[test]
-fn legacy_maps_match_the_model_too() {
-    for seed in 0..8 {
-        run(seed, true, seed % 2 == 1);
+        run(seed, true);
     }
 }

@@ -199,18 +199,14 @@ pub struct RunContext {
     /// Far-tier backend for machines whose config leaves `mem.backend`
     /// unset; an explicit config always wins.
     pub backend: Option<Backend>,
-    /// Forces `mem.legacy_maps` on for every machine built; `false`
-    /// leaves configs untouched.
-    pub legacy_maps: bool,
     /// Worker count for experiment grids (`par_map_cells`); at least 1
     /// once installed.
     pub jobs: usize,
 }
 
 impl RunContext {
-    /// Serial, fault-free, default backend and store layout.
-    const DEFAULT: RunContext =
-        RunContext { faults: None, backend: None, legacy_maps: false, jobs: 1 };
+    /// Serial, fault-free, default backend.
+    const DEFAULT: RunContext = RunContext { faults: None, backend: None, jobs: 1 };
 
     /// The context installed on this thread ([`RunContext::default`]
     /// unless a guard is live).

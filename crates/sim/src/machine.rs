@@ -103,9 +103,6 @@ impl Machine {
         if cfg.mem.faults.is_none() {
             cfg.mem.faults = ctx.faults;
         }
-        if ctx.legacy_maps {
-            cfg.mem.legacy_maps = true;
-        }
         if cfg.mem.backend.is_none() {
             cfg.mem.backend = ctx.backend;
         }

@@ -1,5 +1,5 @@
 //! CI tier-2 data-integrity benchmark: runs the checksummed-patrol crash
-//! grid (`run_data_integrity_sweep_jobs` — ECP budget × daemons on/off,
+//! grid (`run_data_integrity_sweep_strategy` — ECP budget × daemons on/off,
 //! stuck cells seeded under mapped data frames) serially and on the
 //! resolved worker count, proves the two produce bit-identical outcomes,
 //! and records the healed/poisoned/killed counters in the bench JSON
@@ -18,7 +18,7 @@
 
 use kindle_bench::*;
 use kindle_core::sim::DEFAULT_PATROL_INTERVAL;
-use kindle_faults::run_data_integrity_sweep_jobs;
+use kindle_faults::{run_data_integrity_sweep_strategy, SweepStrategy};
 
 /// Fixed sweep seed (sibling of the crash-sweep bench seed).
 const SEED: u64 = 0x00c0_ffee_4b1d_0002;
@@ -34,10 +34,11 @@ fn main() -> Result<()> {
     rule(78);
 
     let t0 = std::time::Instant::now();
-    let serial = run_data_integrity_sweep_jobs(SEED, stuck, 1)?;
+    let serial = run_data_integrity_sweep_strategy(SEED, stuck, 1, SweepStrategy::SnapshotFork)?;
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    let threaded = run_data_integrity_sweep_jobs(SEED, stuck, jobs)?;
+    let threaded =
+        run_data_integrity_sweep_strategy(SEED, stuck, jobs, SweepStrategy::SnapshotFork)?;
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
     assert_eq!(serial, threaded, "jobs=1 vs jobs={jobs} must agree bit-for-bit");
     println!(

@@ -10,7 +10,7 @@
 //! while every per-seed result stays byte-identical to a serial run.
 //!
 //! Each seed also runs the data-integrity grid
-//! ([`run_data_integrity_sweep_jobs`]) with a per-seed corruption load,
+//! ([`run_data_integrity_sweep_strategy`]) with a per-seed corruption load,
 //! charting the healed-vs-poisoned frontier: how much damage the checksum
 //! patrol absorbs before graceful degradation starts costing pages.
 //!
@@ -22,7 +22,7 @@
 
 use kindle_bench::*;
 use kindle_core::mem::MediaFaultConfig;
-use kindle_faults::run_data_integrity_sweep_jobs;
+use kindle_faults::{run_data_integrity_sweep_strategy, SweepStrategy};
 
 /// The swept fault model: the wear budget is cranked far below the
 /// default (4096 writes/line) so the hot lines of even a quick run — the
@@ -104,7 +104,7 @@ fn main() -> Result<()> {
         // heal count climbs while the zero-budget arm keeps losing exactly
         // one page — graceful degradation does not spread with corruption.
         let lines = 1 + (seed.wrapping_sub(base) % 4) as usize;
-        let integ = run_data_integrity_sweep_jobs(seed, lines, 1)?;
+        let integ = run_data_integrity_sweep_strategy(seed, lines, 1, SweepStrategy::SnapshotFork)?;
         Ok(SeedRow {
             seed,
             fig4a_ms,

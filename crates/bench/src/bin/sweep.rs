@@ -16,8 +16,8 @@
 use kindle_bench::*;
 use kindle_core::os::PtMode;
 use kindle_faults::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_jobs,
-    run_stuck_sweep_strategy, run_sweep_strategy, SweepStrategy, SweepTelemetry,
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
+    run_sweep_strategy, SweepStrategy, SweepTelemetry,
 };
 
 /// Fixed sweep seed (same one the crash-sweep acceptance tests pin).
@@ -194,20 +194,17 @@ fn main() -> Result<()> {
     // thousands of stuck cells, the two-entry ECP budget and scrubd armed.
     // Distinct JSON field names keep its (much smaller) point counts out
     // of the write-sweep golden ranges above.
-    let ((serial, stuck_telemetry), serial_ms) = timed(|| {
-        let out = run_stuck_sweep_strategy(
+    let stuck = |jobs| {
+        run_stuck_sweep_strategy(
             PtMode::Persistent,
             SEED,
             STUCK_CELLS,
-            1,
+            jobs,
             SweepStrategy::SnapshotFork,
-        )?;
-        // The boundary sweep reuses the nvm-write golden machinery, so its
-        // telemetry comes from a second (cheap) recorded golden run.
-        Ok((out, SweepTelemetry::default()))
-    })?;
-    let (parallel, parallel_ms) =
-        timed(|| run_stuck_sweep_jobs(PtMode::Persistent, SEED, STUCK_CELLS, jobs))?;
+        )
+    };
+    let (serial, serial_ms) = timed(|| stuck(1))?;
+    let (parallel, parallel_ms) = timed(|| stuck(jobs))?;
     assert_eq!(serial, parallel, "stuck sweep: jobs=1 vs jobs={jobs} must agree bit-for-bit");
     println!(
         "{:<10} | {:>6} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7}",
@@ -225,7 +222,6 @@ fn main() -> Result<()> {
          \"serial_ms\": {serial_ms:.1}, \"parallel_ms\": {parallel_ms:.1}}}",
         serial.boundaries, serial.recovered, serial.digest
     ));
-    let _ = stuck_telemetry;
     body.push_str("\n]");
     timing.push_str("\n]");
     harness.maybe_json_body(&body);

@@ -20,11 +20,11 @@
 //!   rather than a second implementation that could drift.
 //!
 //! The run's settings — the [`RunContext`] (media-fault model, far-tier
-//! backend, store layout, worker count) — are **host-thread-local**, and
-//! `par_map` is the one place that carries them across threads: every
-//! item run on a worker runs under the caller's context with `jobs: 1`,
-//! so nested grids stay serial and a new setting reaches every worker
-//! without touching a call site. The serial path runs on the caller's
+//! backend, worker count) — are **host-thread-local**, and `par_map` is
+//! the one place that carries them across threads: every item run on a
+//! worker runs under the caller's context with `jobs: 1`, so nested grids
+//! stay serial and a new setting reaches every worker without touching a
+//! call site. The serial path runs on the caller's
 //! thread and so needs no copy.
 //!
 //! The cross-layer sanitizer (`kindle_types::sanitize`) is host-thread-local

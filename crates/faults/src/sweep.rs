@@ -40,11 +40,12 @@
 //! Crash points are mutually independent (each forks its own machine with
 //! its own per-point RNG), so the sweep fans out over
 //! [`kindle_core::parallel::par_map`] workers; the snapshot pool is shared
-//! across workers by reference (snapshots are `Send + Sync`). The digest
-//! folds each point's observables **in crash-point order** regardless of
-//! which worker finished first, so `KINDLE_JOBS=1` and `KINDLE_JOBS=8`
-//! produce identical [`SweepOutcome`]s — the determinism tests pin exactly
-//! that.
+//! across workers by reference (snapshots are `Send + Sync`). Every entry
+//! point takes its worker count from the caller (the library reads no
+//! environment variable). The digest folds each point's observables **in
+//! crash-point order** regardless of which worker finished first, so one
+//! worker and eight produce identical [`SweepOutcome`]s — the determinism
+//! tests pin exactly that.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -398,15 +399,14 @@ impl SnapshotPool {
         self.high_water = self.high_water.max(self.records.len());
     }
 
-    /// The latest record usable for a cut at boundary `b` (its prefix must
-    /// end at or before the cut point).
-    fn nearest_boundary(&self, b: u64) -> Option<&SnapshotRecord> {
-        self.records.iter().rev().find(|r| r.boundaries <= b)
-    }
-
-    /// The latest record usable for a cut at NVM write `w`.
-    fn nearest_nvm_write(&self, w: u64) -> Option<&SnapshotRecord> {
-        self.records.iter().rev().find(|r| r.nvm_writes <= w)
+    /// The latest record usable for a cut at `point` (its prefix must end
+    /// at or before the cut point). Cycle cuts always boot fresh.
+    fn nearest(&self, point: FaultPoint) -> Option<&SnapshotRecord> {
+        self.records.iter().rev().find(|r| match point {
+            FaultPoint::Boundary(b) => r.boundaries <= b,
+            FaultPoint::NvmWrite(w) => r.nvm_writes <= w,
+            FaultPoint::Cycle(_) => false,
+        })
     }
 
     fn telemetry(&self, golden: &GoldenRun) -> SweepTelemetry {
@@ -550,8 +550,9 @@ struct CutRun {
 }
 
 /// Drives one machine to its cut point: forked from the nearest pool
-/// snapshot when one is usable, from scratch otherwise (no pool, or the
-/// cut lands inside construction/spawn — before the first capture).
+/// snapshot when one is usable, booted fresh otherwise (no pool, or the
+/// cut lands inside construction/spawn — before the first capture). A
+/// fresh boot is the empty prefix: no publishes seen, no events consumed.
 /// Execution stops at the first step boundary after the cut fires: nothing
 /// a real machine would run after a power cut is simulated, and both
 /// origins stop at the same step, which is what makes their digests
@@ -561,49 +562,32 @@ fn run_to_cut(
     pool: Option<&SnapshotPool>,
     point: FaultPoint,
 ) -> Result<CutRun> {
-    let rec = pool.and_then(|p| match point {
-        FaultPoint::Boundary(b) => p.nearest_boundary(b),
-        FaultPoint::NvmWrite(w) => p.nearest_nvm_write(w),
-        FaultPoint::Cycle(_) => None,
-    });
+    let rec = pool.and_then(|p| p.nearest(point));
     let ic = InvariantChecker::new();
     let ic_log = ic.log();
-    let steps = workload_steps();
-    if let Some(rec) = rec {
-        // The trigger counts suffix events from zero, so the plan is
-        // re-based onto the events the snapshot's prefix already consumed.
-        let plan = match point {
-            FaultPoint::Boundary(b) => FaultPlan::at_boundary(b - rec.boundaries),
-            FaultPoint::NvmWrite(w) => FaultPlan::at_nvm_write(w - rec.nvm_writes),
-            FaultPoint::Cycle(c) => FaultPlan::at_cycle(c),
-        };
-        let rc = RecoveryChecker::with_publishes(&rec.publishes);
-        let rc_log = rc.log();
-        let trigger = PowerCutTrigger::new(plan, vec![Box::new(ic), Box::new(rc)]);
-        let switch = trigger.switch();
-        let guard = sanitize::install(Box::new(trigger));
-        let mut m = Machine::restore(&rec.snap);
-        m.hw.mc.arm_power_cut(switch.clone());
-        let mut state = rec.state.clone();
-        for &step in &steps[rec.step..] {
-            if switch.is_cut() {
-                break;
-            }
-            exec_step(&mut m, rec.pid, &mut state, step)?;
-        }
-        assert!(switch.is_cut(), "{point:?} never reached from snapshot; golden run out of sync");
-        return Ok(CutRun { m, pid: rec.pid, _guard: guard, ic_log, rc_log });
-    }
-    let rc = RecoveryChecker::new();
+    let rc = RecoveryChecker::with_publishes(rec.map_or(&[], |r| &r.publishes));
     let rc_log = rc.log();
-    let trigger = PowerCutTrigger::new(FaultPlan { point }, vec![Box::new(ic), Box::new(rc)]);
+    // The trigger counts suffix events from zero, so the plan is re-based
+    // onto the events the snapshot's prefix already consumed.
+    let (boundaries, nvm_writes) = rec.map_or((0, 0), |r| (r.boundaries, r.nvm_writes));
+    let plan = match point {
+        FaultPoint::Boundary(b) => FaultPlan::at_boundary(b - boundaries),
+        FaultPoint::NvmWrite(w) => FaultPlan::at_nvm_write(w - nvm_writes),
+        FaultPoint::Cycle(c) => FaultPlan::at_cycle(c),
+    };
+    let trigger = PowerCutTrigger::new(plan, vec![Box::new(ic), Box::new(rc)]);
     let switch = trigger.switch();
     let guard = sanitize::install(Box::new(trigger));
-    let mut m = Machine::new(cfg.clone())?;
+    let mut m = match rec {
+        Some(r) => Machine::restore(&r.snap),
+        None => Machine::new(cfg.clone())?,
+    };
     m.hw.mc.arm_power_cut(switch.clone());
-    let pid = m.spawn_process()?;
-    let mut state = WorkloadState::default();
-    for &step in &steps {
+    let (pid, mut state, first) = match rec {
+        Some(r) => (r.pid, r.state.clone(), r.step),
+        None => (m.spawn_process()?, WorkloadState::default(), 0),
+    };
+    for &step in &workload_steps()[first..] {
         if switch.is_cut() {
             break;
         }
@@ -613,45 +597,48 @@ fn run_to_cut(
     Ok(CutRun { m, pid, _guard: guard, ic_log, rc_log })
 }
 
-/// Crashes one machine at boundary `b` (tearing with `rng`), recovers,
+/// The event index a crash point names.
+fn point_index(point: FaultPoint) -> u64 {
+    match point {
+        FaultPoint::Boundary(n) | FaultPoint::NvmWrite(n) | FaultPoint::Cycle(n) => n,
+    }
+}
+
+/// Crashes one machine at `point` (tearing with `rng`), recovers,
 /// verifies, and returns whether the workload process survived plus this
 /// crash point's digest observables.
-fn crash_at_boundary(
+///
+/// A boundary cut must recover exactly the last durable checkpoint of the
+/// golden run. A write-granular cut can land mid-protocol, so its expected
+/// checkpoint is not derivable from the golden enumeration; the check is
+/// that recovery lands on *some* phase checkpoint, or cleanly on none.
+/// Either way the checkers must see zero violations and the machine must
+/// be operational afterwards.
+fn crash_at(
     cfg: &MachineConfig,
     golden: &GoldenRun,
     pool: Option<&SnapshotPool>,
-    b: u64,
+    point: FaultPoint,
     rng: &mut Rng64,
 ) -> Result<(bool, Vec<u64>)> {
-    let CutRun { mut m, pid, _guard, ic_log, rc_log } =
-        run_to_cut(cfg, pool, FaultPoint::Boundary(b))?;
+    let CutRun { mut m, pid, _guard, ic_log, rc_log } = run_to_cut(cfg, pool, point)?;
 
     m.crash_torn(rng)?;
     let report = m.recover()?;
 
-    // The recovered context must be exactly the last durable checkpoint.
-    let recovered = match expected_marker(golden, b) {
-        Some(marker) => {
-            assert_eq!(
-                report.recovered_pids,
-                vec![pid],
-                "boundary {b}: process must recover ({report:?})"
-            );
-            let rip = m.kernel.process(pid)?.regs.rip;
-            assert_eq!(
-                rip, marker,
-                "boundary {b}: recovered rip {rip:#x}, want last durable checkpoint {marker:#x}"
-            );
-            true
-        }
-        None => {
-            assert!(
-                report.recovered_pids.is_empty(),
-                "boundary {b}: no checkpoint was durable yet, got {report:?}"
-            );
-            false
-        }
-    };
+    let recovered = report.recovered_pids.contains(&pid);
+    let rip = if recovered { Some(m.kernel.process(pid)?.regs.rip) } else { None };
+    if let FaultPoint::Boundary(b) = point {
+        let want = expected_marker(golden, b);
+        let pids = if want.is_some() { vec![pid] } else { Vec::new() };
+        assert_eq!(report.recovered_pids, pids, "{point:?}: wrong recovered set ({report:?})");
+        assert_eq!(rip, want, "{point:?}: recovered rip {rip:x?}, want last durable checkpoint");
+    } else if let Some(rip) = rip {
+        assert!(
+            PHASE_MARKERS.contains(&rip),
+            "{point:?}: recovered rip {rip:#x} is not a phase checkpoint"
+        );
+    }
 
     // The machine must still be fully operational after recovery.
     let cont_pid = if recovered { pid } else { m.spawn_process()? };
@@ -661,12 +648,12 @@ fn crash_at_boundary(
     m.checkpoint_now()?;
 
     let ic_violations = ic_log.take();
-    assert!(ic_violations.is_empty(), "boundary {b}: invariant violations {ic_violations:?}");
+    assert!(ic_violations.is_empty(), "{point:?}: invariant violations {ic_violations:?}");
     let rc_violations = rc_log.take();
-    assert!(rc_violations.is_empty(), "boundary {b}: recovery violations {rc_violations:?}");
+    assert!(rc_violations.is_empty(), "{point:?}: recovery violations {rc_violations:?}");
 
     let mut words = vec![
-        b,
+        point_index(point),
         u64::from(recovered),
         if recovered { m.kernel.process(pid)?.regs.rip } else { 0 },
         report.log_records_replayed,
@@ -678,8 +665,8 @@ fn crash_at_boundary(
         m.now().as_u64(),
     ];
     // With scrubd armed the scrub/correction work is part of what the seed
-    // must pin, so its counters join the digest (plain sweeps append
-    // nothing, keeping their digests comparable with older runs).
+    // must pin, so its counters join the digest (machines without scrubd
+    // append nothing, keeping their digests comparable with older runs).
     if let Some(s) = &m.scrub {
         let st = s.stats();
         let media = m.hw.mc.stats().media;
@@ -695,71 +682,18 @@ fn crash_at_boundary(
     Ok((recovered, words))
 }
 
-/// Runs the full sweep for one page-table scheme: golden enumeration, then
-/// one torn crash + verified recovery per boundary. All tearing randomness
-/// derives from `seed`, so equal seeds must yield equal
-/// [`SweepOutcome::digest`]s.
-///
-/// # Errors
-///
-/// Propagates machine/workload/recovery failures.
-///
-/// # Panics
-///
-/// Panics when a recovery check fails (wrong checkpoint recovered, checker
-/// violations, golden run out of sync).
-pub fn run_sweep(mode: PtMode, seed: u64) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, false, parallel::default_jobs(), SweepStrategy::default())
-}
-
-/// [`run_sweep`] with an explicit worker count (`jobs = 1` is the exact
-/// serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_jobs(mode: PtMode, seed: u64, jobs: usize) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, false, jobs, SweepStrategy::default())
-}
-
-/// [`run_sweep`] with every checkpoint executing on the simulated
-/// checkpoint daemon kthread. The thread interleaving is replayed
-/// deterministically from the seed: the schedule is a pure function of the
-/// (seed-fixed) event sequence, so equal seeds still mean equal digests.
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_threaded(mode: PtMode, seed: u64) -> Result<SweepOutcome> {
-    run_sweep_strategy(mode, seed, true, parallel::default_jobs(), SweepStrategy::default())
-}
-
-/// [`run_sweep`] with an explicit worker count and crash-point execution
-/// strategy — the cross-check entry point: both strategies must return the
-/// identical [`SweepOutcome`], digest included.
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_strategy(
-    mode: PtMode,
-    seed: u64,
-    threaded: bool,
-    jobs: usize,
-    strategy: SweepStrategy,
-) -> Result<SweepOutcome> {
-    Ok(run_sweep_cfg(&config(mode, threaded), seed, jobs, &[], strategy)?.0)
-}
-
-/// The boundary sweep against an explicit machine config. `extra_words`
-/// prefixes the digest so variants (e.g. different stuck-cell counts)
-/// cannot collide.
-fn run_sweep_cfg(
+/// Runs one crash sweep against `cfg`: the golden run `strategy` calls
+/// for, then one torn crash + verified recovery per crash point. `plan`
+/// turns the golden run into the crash points and the digest's leading
+/// words, which keep sweep families and variants from colliding. Returns
+/// the outcome (`boundaries` counts the crash points exercised) and the
+/// golden run's telemetry.
+fn run_crash_sweep(
     cfg: &MachineConfig,
     seed: u64,
     jobs: usize,
-    extra_words: &[u64],
     strategy: SweepStrategy,
+    plan: impl FnOnce(&GoldenRun) -> (Vec<FaultPoint>, Vec<u64>),
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
     let (golden, pool) = match strategy {
         SweepStrategy::SnapshotFork => {
@@ -768,16 +702,16 @@ fn run_sweep_cfg(
         }
         SweepStrategy::ReplayFromZero => (golden_run_cfg(cfg)?, None),
     };
+    let (points, mut digest_words) = plan(&golden);
+    let crash_points = points.len() as u64;
     let golden_ref = &golden;
     let pool_ref = pool.as_ref();
-    let results = parallel::par_map(jobs, (0..golden.boundaries).collect(), move |b| {
-        // A fresh generator per boundary keeps crash points independent:
-        // inserting a boundary does not shift every later tear.
-        let mut rng = Rng64::new(seed ^ (b + 1).wrapping_mul(GOLDEN_GAMMA));
-        crash_at_boundary(cfg, golden_ref, pool_ref, b, &mut rng)
+    let results = parallel::par_map(jobs, points, move |point| {
+        // A fresh generator per point keeps crash points independent:
+        // inserting a point does not shift every later tear.
+        let mut rng = Rng64::new(seed ^ (point_index(point) + 1).wrapping_mul(GOLDEN_GAMMA));
+        crash_at(cfg, golden_ref, pool_ref, point, &mut rng)
     });
-    let mut digest_words = extra_words.to_vec();
-    digest_words.extend([golden.boundaries, golden.nvm_writes]);
     let mut recovered = 0u64;
     for point in results {
         let (rec, words) = point?;
@@ -789,12 +723,46 @@ fn run_sweep_cfg(
         nvm_writes: golden.nvm_writes,
         ..SweepTelemetry::default()
     });
-    let outcome = SweepOutcome {
-        boundaries: golden.boundaries,
-        recovered,
-        digest: checksum64(&digest_words),
-    };
+    let outcome =
+        SweepOutcome { boundaries: crash_points, recovered, digest: checksum64(&digest_words) };
     Ok((outcome, telemetry))
+}
+
+/// Every persist boundary of `golden` as a crash point, with the digest
+/// led by `prefix` and the golden run's sizes.
+fn every_boundary(prefix: &[u64], golden: &GoldenRun) -> (Vec<FaultPoint>, Vec<u64>) {
+    let mut lead = prefix.to_vec();
+    lead.extend([golden.boundaries, golden.nvm_writes]);
+    ((0..golden.boundaries).map(FaultPoint::Boundary).collect(), lead)
+}
+
+/// Runs the full sweep for one page-table scheme: golden enumeration, then
+/// one torn crash + verified recovery per boundary. All tearing randomness
+/// derives from `seed`, so equal seeds must yield equal
+/// [`SweepOutcome::digest`]s. `threaded` runs every checkpoint on the
+/// simulated checkpoint daemon kthread; the thread interleaving is
+/// replayed deterministically from the seed, so equal seeds still mean
+/// equal digests. Any worker count gives the identical outcome (`jobs = 1`
+/// is the exact serial loop), and so does either strategy: the
+/// replay-from-zero oracle must reproduce the forked sweep's digest.
+///
+/// # Errors
+///
+/// Propagates machine/workload/recovery failures.
+///
+/// # Panics
+///
+/// Panics when a recovery check fails (wrong checkpoint recovered, checker
+/// violations, golden run out of sync).
+pub fn run_sweep_strategy(
+    mode: PtMode,
+    seed: u64,
+    threaded: bool,
+    jobs: usize,
+    strategy: SweepStrategy,
+) -> Result<SweepOutcome> {
+    let cfg = config(mode, threaded);
+    Ok(run_crash_sweep(&cfg, seed, jobs, strategy, |g| every_boundary(&[], g))?.0)
 }
 
 /// The stuck-cell sweep: the full boundary crash/recovery sweep run
@@ -804,7 +772,8 @@ fn run_sweep_cfg(
 /// violations — the stuck cells the workload's write set crosses are
 /// absorbed by write-time correction, and scrubd verify passes (whose
 /// counters join the digest) keep the NVM-resident page tables honest
-/// across every crash and recovery.
+/// across every crash and recovery. `jobs` and `strategy` are as in
+/// [`run_sweep_strategy`].
 ///
 /// # Errors
 ///
@@ -814,30 +783,6 @@ fn run_sweep_cfg(
 ///
 /// Panics when a recovery check fails (wrong checkpoint recovered, checker
 /// violations, golden run out of sync).
-pub fn run_stuck_sweep(mode: PtMode, seed: u64, stuck: usize) -> Result<SweepOutcome> {
-    run_stuck_sweep_strategy(mode, seed, stuck, parallel::default_jobs(), SweepStrategy::default())
-}
-
-/// [`run_stuck_sweep`] with an explicit worker count (`jobs = 1` is the
-/// exact serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_stuck_sweep`].
-pub fn run_stuck_sweep_jobs(
-    mode: PtMode,
-    seed: u64,
-    stuck: usize,
-    jobs: usize,
-) -> Result<SweepOutcome> {
-    run_stuck_sweep_strategy(mode, seed, stuck, jobs, SweepStrategy::default())
-}
-
-/// [`run_stuck_sweep`] with an explicit worker count and strategy.
-///
-/// # Errors
-///
-/// As [`run_stuck_sweep`].
 pub fn run_stuck_sweep_strategy(
     mode: PtMode,
     seed: u64,
@@ -846,69 +791,16 @@ pub fn run_stuck_sweep_strategy(
     strategy: SweepStrategy,
 ) -> Result<SweepOutcome> {
     let cfg = stuck_config(mode, seed, stuck);
-    Ok(run_sweep_cfg(&cfg, seed, jobs, &[stuck as u64], strategy)?.0)
-}
-
-/// Crashes one machine right after its `w`-th NVM line write, recovers,
-/// verifies, and appends the observables to `digest_words`. Unlike a
-/// boundary cut, a write-granular cut can land mid-protocol, so the
-/// expected checkpoint is not derivable from the golden enumeration;
-/// instead the check is that recovery lands on *some* phase checkpoint (or
-/// cleanly on none), with zero checker violations, and that the machine is
-/// operational afterwards.
-fn crash_at_nvm_write(
-    cfg: &MachineConfig,
-    pool: Option<&SnapshotPool>,
-    w: u64,
-    rng: &mut Rng64,
-) -> Result<(bool, Vec<u64>)> {
-    let CutRun { mut m, pid, _guard, ic_log, rc_log } =
-        run_to_cut(cfg, pool, FaultPoint::NvmWrite(w))?;
-
-    m.crash_torn(rng)?;
-    let report = m.recover()?;
-
-    let recovered = report.recovered_pids.contains(&pid);
-    if recovered {
-        let rip = m.kernel.process(pid)?.regs.rip;
-        assert!(
-            PHASE_MARKERS.contains(&rip),
-            "NVM write {w}: recovered rip {rip:#x} is not a phase checkpoint"
-        );
-    }
-
-    // The machine must still be fully operational after recovery.
-    let cont_pid = if recovered { pid } else { m.spawn_process()? };
-    let cva = m.mmap(cont_pid, PAGE_SIZE as u64, Prot::RW, MapFlags::NVM)?;
-    m.access(cont_pid, cva, AccessKind::Write)?;
-    m.kernel.process_mut(cont_pid)?.regs.rip = CONTINUATION_MARKER;
-    m.checkpoint_now()?;
-
-    let ic_violations = ic_log.take();
-    assert!(ic_violations.is_empty(), "NVM write {w}: invariant violations {ic_violations:?}");
-    let rc_violations = rc_log.take();
-    assert!(rc_violations.is_empty(), "NVM write {w}: recovery violations {rc_violations:?}");
-
-    let words = vec![
-        w,
-        u64::from(recovered),
-        if recovered { m.kernel.process(pid)?.regs.rip } else { 0 },
-        report.log_records_replayed,
-        report.torn_log_records,
-        report.copy_fallbacks,
-        report.frames_repaired,
-        report.pages_remapped,
-        report.dram_entries_dropped,
-        m.now().as_u64(),
-    ];
-    Ok((recovered, words))
+    Ok(run_crash_sweep(&cfg, seed, jobs, strategy, |g| every_boundary(&[stuck as u64], g))?.0)
 }
 
 /// The write-granular sweep: cuts power after every `stride`-th NVM line
 /// write of the workload (stride 1 = exhaustive; the exhaustive run is
 /// CI tier 2 — the `sweep` job times it serial vs parallel via the bench
 /// `sweep` binary). Returns a [`SweepOutcome`] whose `boundaries` counts
-/// the crash points exercised.
+/// the crash points exercised, and the sweep's [`SweepTelemetry`] (the
+/// `sweep` bench binary publishes it as the `SWEEP_timing.json` CI
+/// artifact). `jobs` and `strategy` are as in [`run_sweep_strategy`].
 ///
 /// # Errors
 ///
@@ -917,31 +809,6 @@ fn crash_at_nvm_write(
 /// # Panics
 ///
 /// Panics when a recovery check fails.
-pub fn run_nvm_write_sweep(mode: PtMode, seed: u64, stride: u64) -> Result<SweepOutcome> {
-    run_nvm_write_sweep_jobs(mode, seed, stride, parallel::default_jobs())
-}
-
-/// [`run_nvm_write_sweep`] with an explicit worker count.
-///
-/// # Errors
-///
-/// As [`run_nvm_write_sweep`].
-pub fn run_nvm_write_sweep_jobs(
-    mode: PtMode,
-    seed: u64,
-    stride: u64,
-    jobs: usize,
-) -> Result<SweepOutcome> {
-    Ok(run_nvm_write_sweep_instrumented(mode, seed, stride, jobs, SweepStrategy::default())?.0)
-}
-
-/// [`run_nvm_write_sweep`] with an explicit worker count and strategy,
-/// also returning the sweep's [`SweepTelemetry`] (the `sweep` bench binary
-/// publishes it as the `SWEEP_timing.json` CI artifact).
-///
-/// # Errors
-///
-/// As [`run_nvm_write_sweep`].
 pub fn run_nvm_write_sweep_instrumented(
     mode: PtMode,
     seed: u64,
@@ -949,40 +816,11 @@ pub fn run_nvm_write_sweep_instrumented(
     jobs: usize,
     strategy: SweepStrategy,
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
-    let cfg = config(mode, false);
-    let (golden, pool) = match strategy {
-        SweepStrategy::SnapshotFork => {
-            let (g, p) = recorded_golden_cfg(&cfg)?;
-            (g, Some(p))
-        }
-        SweepStrategy::ReplayFromZero => (golden_run_cfg(&cfg)?, None),
-    };
     let stride = stride.max(1);
-    let cfg_ref = &cfg;
-    let pool_ref = pool.as_ref();
-    let points: Vec<u64> = (0..golden.nvm_writes).step_by(stride as usize).collect();
-    let results = parallel::par_map(jobs, points.clone(), move |w| {
-        let mut rng = Rng64::new(seed ^ (w + 1).wrapping_mul(GOLDEN_GAMMA));
-        crash_at_nvm_write(cfg_ref, pool_ref, w, &mut rng)
-    });
-    let mut digest_words = vec![golden.boundaries, golden.nvm_writes, stride];
-    let mut recovered = 0u64;
-    for point in results {
-        let (rec, words) = point?;
-        recovered += u64::from(rec);
-        digest_words.extend(words);
-    }
-    let telemetry = pool.as_ref().map(|p| p.telemetry(&golden)).unwrap_or(SweepTelemetry {
-        boundaries: golden.boundaries,
-        nvm_writes: golden.nvm_writes,
-        ..SweepTelemetry::default()
-    });
-    let outcome = SweepOutcome {
-        boundaries: points.len() as u64,
-        recovered,
-        digest: checksum64(&digest_words),
-    };
-    Ok((outcome, telemetry))
+    run_crash_sweep(&config(mode, false), seed, jobs, strategy, |g| {
+        let points = (0..g.nvm_writes).step_by(stride as usize).map(FaultPoint::NvmWrite).collect();
+        (points, vec![g.boundaries, g.nvm_writes, stride])
+    })
 }
 
 /// NVM data pages the integrity workload maps and fills per grid point.
@@ -992,7 +830,7 @@ const INTEGRITY_PAGES: u64 = 4;
 const INTEGRITY_PATROL_INTERVAL: Cycles = Cycles::from_micros(10);
 
 /// Aggregate result of one data-integrity sweep (see
-/// [`run_data_integrity_sweep`]).
+/// [`run_data_integrity_sweep_strategy`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataIntegrityOutcome {
     /// Grid points exercised (ECP budget × daemons on/off).
@@ -1204,7 +1042,10 @@ fn run_integrity_point(
 /// points, each seeding `stuck` stuck cells under *data* frames and
 /// verifying the checksum-patrol/poison/graceful-degradation contract (see
 /// [`run_integrity_point`]'s contract list). Equal seeds must yield equal
-/// digests regardless of worker count.
+/// digests regardless of worker count (`jobs = 1` is the exact serial
+/// loop). The two strategies must produce identical outcomes: the
+/// snapshot-fork arm runs each point's patrol/kill tail on a machine that
+/// made a `snapshot → restore` round trip mid-point.
 ///
 /// # Errors
 ///
@@ -1216,37 +1057,6 @@ fn run_integrity_point(
 ///
 /// Panics when a point violates the integrity contract (missed heal,
 /// corrupt read, surviving owner of a lost page, sanitizer violations).
-pub fn run_data_integrity_sweep(seed: u64, stuck: usize) -> Result<DataIntegrityOutcome> {
-    run_data_integrity_sweep_strategy(
-        seed,
-        stuck,
-        parallel::default_jobs(),
-        SweepStrategy::default(),
-    )
-}
-
-/// [`run_data_integrity_sweep`] with an explicit worker count (`jobs = 1`
-/// is the exact serial loop; any count produces the identical outcome).
-///
-/// # Errors
-///
-/// As [`run_data_integrity_sweep`].
-pub fn run_data_integrity_sweep_jobs(
-    seed: u64,
-    stuck: usize,
-    jobs: usize,
-) -> Result<DataIntegrityOutcome> {
-    run_data_integrity_sweep_strategy(seed, stuck, jobs, SweepStrategy::default())
-}
-
-/// [`run_data_integrity_sweep`] with an explicit worker count and
-/// strategy. The two strategies must produce identical outcomes: the
-/// snapshot-fork arm runs each point's patrol/kill tail on a machine that
-/// made a `snapshot → restore` round trip mid-point.
-///
-/// # Errors
-///
-/// As [`run_data_integrity_sweep`].
 pub fn run_data_integrity_sweep_strategy(
     seed: u64,
     stuck: usize,
@@ -1368,12 +1178,10 @@ mod tests {
             pool.offer(dummy_record(step, step as u64 * 5));
         }
         // Records at boundaries 0, 5, 10, 15.
-        assert_eq!(pool.nearest_boundary(0).unwrap().boundaries, 0);
-        assert_eq!(pool.nearest_boundary(4).unwrap().boundaries, 0);
-        assert_eq!(pool.nearest_boundary(5).unwrap().boundaries, 5);
-        assert_eq!(pool.nearest_boundary(12).unwrap().boundaries, 10);
-        assert_eq!(pool.nearest_boundary(99).unwrap().boundaries, 15);
-        assert_eq!(pool.nearest_nvm_write(49).unwrap().nvm_writes, 0);
-        assert_eq!(pool.nearest_nvm_write(120).unwrap().nvm_writes, 100);
+        let at = |b| pool.nearest(FaultPoint::Boundary(b)).unwrap().boundaries;
+        assert_eq!([at(0), at(4), at(5), at(12), at(99)], [0, 0, 5, 10, 15]);
+        let at = |w| pool.nearest(FaultPoint::NvmWrite(w)).unwrap().nvm_writes;
+        assert_eq!([at(49), at(120)], [0, 100]);
+        assert!(pool.nearest(FaultPoint::Cycle(99)).is_none());
     }
 }

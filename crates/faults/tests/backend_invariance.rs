@@ -15,7 +15,10 @@
 //!    seeds stuck cells) refuses such a backend with an error rather
 //!    than a panic.
 
-use kindle_faults::{run_data_integrity_sweep_jobs, run_nvm_write_sweep_jobs, run_sweep_jobs};
+use kindle_faults::{
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_sweep_strategy,
+    SweepOutcome, SweepStrategy,
+};
 use kindle_mem::Backend;
 use kindle_os::PtMode;
 use kindle_sim::RunContext;
@@ -23,12 +26,25 @@ use kindle_types::KindleError;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 
+/// The persistent-mode stride-199 NVM-write sweep on `jobs` workers.
+fn write_sweep(jobs: usize) -> SweepOutcome {
+    run_nvm_write_sweep_instrumented(
+        PtMode::Persistent,
+        SEED,
+        199,
+        jobs,
+        SweepStrategy::SnapshotFork,
+    )
+    .unwrap()
+    .0
+}
+
 #[test]
 fn nvm_write_sweep_digest_is_backend_pcm_invariant_at_any_jobs() {
-    let direct = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 1).unwrap();
+    let direct = write_sweep(1);
     let _ctx = RunContext { backend: Some(Backend::Pcm), ..RunContext::default() }.install();
     for jobs in [1, 8] {
-        let pcm = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, jobs).unwrap();
+        let pcm = write_sweep(jobs);
         assert_eq!(direct, pcm, "jobs={jobs}: backend=pcm diverged from the direct sweep");
     }
 }
@@ -36,9 +52,9 @@ fn nvm_write_sweep_digest_is_backend_pcm_invariant_at_any_jobs() {
 #[test]
 fn checkpoint_sweep_digest_is_backend_pcm_invariant() {
     for mode in [PtMode::Rebuild, PtMode::Persistent] {
-        let direct = run_sweep_jobs(mode, SEED, 1).unwrap();
+        let direct = run_sweep_strategy(mode, SEED, false, 1, SweepStrategy::SnapshotFork).unwrap();
         let _ctx = RunContext { backend: Some(Backend::Pcm), ..RunContext::default() }.install();
-        let pcm = run_sweep_jobs(mode, SEED, 1).unwrap();
+        let pcm = run_sweep_strategy(mode, SEED, false, 1, SweepStrategy::SnapshotFork).unwrap();
         assert_eq!(direct, pcm, "{mode:?}: backend=pcm changed the checkpoint sweep");
     }
 }
@@ -47,10 +63,10 @@ fn checkpoint_sweep_digest_is_backend_pcm_invariant() {
 fn nvm_write_sweep_runs_green_under_numa_backend_at_any_jobs() {
     // No wear, no stuck cells, no ECP — the sweep's crash/recovery
     // machinery must still work, and stay jobs-invariant.
-    let default_backend = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 1).unwrap();
+    let default_backend = write_sweep(1);
     let _ctx = RunContext { backend: Some(Backend::Numa), ..RunContext::default() }.install();
-    let serial = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 1).unwrap();
-    let parallel = run_nvm_write_sweep_jobs(PtMode::Persistent, SEED, 199, 8).unwrap();
+    let serial = write_sweep(1);
+    let parallel = write_sweep(8);
     // The digests differ across backends, so a worker that dropped the
     // context would run PCM and break the serial/parallel equality below:
     // this is the end-to-end check that `par_map` carries the context.
@@ -69,8 +85,10 @@ fn data_integrity_grid_errs_without_a_media_model() {
     // the grid must say so on every worker instead of panicking.
     let _ctx = RunContext { backend: Some(Backend::Numa), ..RunContext::default() }.install();
     for jobs in [1, 4] {
-        let out = std::panic::catch_unwind(|| run_data_integrity_sweep_jobs(0xDA7A, 3, jobs))
-            .unwrap_or_else(|_| panic!("jobs={jobs}: the grid panicked under numa"));
+        let out = std::panic::catch_unwind(|| {
+            run_data_integrity_sweep_strategy(0xDA7A, 3, jobs, SweepStrategy::SnapshotFork)
+        })
+        .unwrap_or_else(|_| panic!("jobs={jobs}: the grid panicked under numa"));
         assert!(
             matches!(out, Err(KindleError::InvalidArgument(_))),
             "jobs={jobs}: want InvalidArgument, got {out:?}"

@@ -6,34 +6,52 @@
 //! deterministic per seed.
 
 use kindle_faults::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_nvm_write_sweep_instrumented,
-    run_nvm_write_sweep_jobs, run_stuck_sweep_jobs, run_stuck_sweep_strategy, run_sweep,
-    run_sweep_jobs, run_sweep_strategy, run_sweep_threaded, SweepStrategy,
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
+    run_sweep_strategy, SweepOutcome, SweepStrategy,
 };
 use kindle_os::PtMode;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
 
+/// The forked boundary sweep on four workers (any count gives the
+/// identical outcome; the jobs-invariance tests below pin that).
+fn sweep(mode: PtMode, seed: u64, threaded: bool) -> SweepOutcome {
+    run_sweep_strategy(mode, seed, threaded, 4, SweepStrategy::SnapshotFork).unwrap()
+}
+
+/// The forked stride-199 NVM-write sweep (Rebuild) on `jobs` workers.
+fn write_sweep(jobs: usize) -> SweepOutcome {
+    run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, 199, jobs, SweepStrategy::SnapshotFork)
+        .unwrap()
+        .0
+}
+
+/// The forked 4096-cell stuck sweep (Persistent) on `jobs` workers.
+fn stuck_sweep(jobs: usize) -> SweepOutcome {
+    run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, jobs, SweepStrategy::SnapshotFork)
+        .unwrap()
+}
+
 #[test]
 fn rebuild_sweep_recovers_every_boundary_deterministically() {
-    let first = run_sweep(PtMode::Rebuild, SEED).unwrap();
+    let first = sweep(PtMode::Rebuild, SEED, false);
     assert!(first.boundaries > 10, "sweep too small: {first:?}");
     assert!(first.recovered > 0, "no boundary recovered a process: {first:?}");
     // Early boundaries precede the first publish, so some runs must lose
     // the (never-checkpointed) process — that path is part of the sweep.
     assert!(first.recovered < first.boundaries, "every boundary recovered: {first:?}");
 
-    let second = run_sweep(PtMode::Rebuild, SEED).unwrap();
+    let second = sweep(PtMode::Rebuild, SEED, false);
     assert_eq!(first, second, "same seed must reproduce the sweep bit-for-bit");
 }
 
 #[test]
 fn persistent_sweep_recovers_every_boundary_deterministically() {
-    let first = run_sweep(PtMode::Persistent, SEED).unwrap();
+    let first = sweep(PtMode::Persistent, SEED, false);
     assert!(first.boundaries > 10, "sweep too small: {first:?}");
     assert!(first.recovered > 0, "no boundary recovered a process: {first:?}");
 
-    let second = run_sweep(PtMode::Persistent, SEED).unwrap();
+    let second = sweep(PtMode::Persistent, SEED, false);
     assert_eq!(first, second, "same seed must reproduce the sweep bit-for-bit");
 }
 
@@ -41,8 +59,8 @@ fn persistent_sweep_recovers_every_boundary_deterministically() {
 fn different_seeds_still_recover_consistently() {
     // The tear split differs per seed, but the recovered checkpoint and
     // violation count are seed-independent — only the digest may move.
-    let a = run_sweep(PtMode::Rebuild, 1).unwrap();
-    let b = run_sweep(PtMode::Rebuild, 2).unwrap();
+    let a = sweep(PtMode::Rebuild, 1, false);
+    let b = sweep(PtMode::Rebuild, 2, false);
     assert_eq!(a.boundaries, b.boundaries);
     assert_eq!(a.recovered, b.recovered);
 }
@@ -53,12 +71,12 @@ fn threaded_sweep_replays_interleavings_deterministically() {
     // part of what the seed pins: two runs must agree bit-for-bit, and the
     // boundary structure must match the single-threaded sweep (thread
     // switches are not persist boundaries).
-    let single = run_sweep(PtMode::Rebuild, SEED).unwrap();
-    let first = run_sweep_threaded(PtMode::Rebuild, SEED).unwrap();
+    let single = sweep(PtMode::Rebuild, SEED, false);
+    let first = sweep(PtMode::Rebuild, SEED, true);
     assert_eq!(first.boundaries, single.boundaries, "kthreads must not add/remove boundaries");
     assert_eq!(first.recovered, single.recovered, "kthreads must not change durability");
 
-    let second = run_sweep_threaded(PtMode::Rebuild, SEED).unwrap();
+    let second = sweep(PtMode::Rebuild, SEED, true);
     assert_eq!(first, second, "same seed must reproduce the threaded sweep bit-for-bit");
 }
 
@@ -67,25 +85,16 @@ fn nvm_write_sweep_strided_smoke() {
     // A strided pass over write-granular crash points: quick enough for
     // the tier-1 test job; the exhaustive stride-1 run is CI tier 2 (the
     // `sweep` job runs it serial vs parallel via the bench sweep binary).
-    let first = run_nvm_write_sweep(PtMode::Rebuild, SEED, 199).unwrap();
+    let first = write_sweep(4);
     assert!(first.boundaries > 3, "stride too coarse to exercise the sweep: {first:?}");
-    let second = run_nvm_write_sweep(PtMode::Rebuild, SEED, 199).unwrap();
+    let second = write_sweep(4);
     assert_eq!(first, second, "same seed must reproduce the write sweep bit-for-bit");
 }
 
 #[test]
-fn boundary_sweep_is_jobs_invariant() {
-    // The acceptance property of the fork-join executor: one worker and
-    // eight workers must fold the identical digest, byte for byte.
-    let serial = run_sweep_jobs(PtMode::Rebuild, SEED, 1).unwrap();
-    let parallel = run_sweep_jobs(PtMode::Rebuild, SEED, 8).unwrap();
-    assert_eq!(serial, parallel, "jobs=1 vs jobs=8 must agree bit-for-bit");
-}
-
-#[test]
 fn nvm_write_sweep_is_jobs_invariant() {
-    let serial = run_nvm_write_sweep_jobs(PtMode::Rebuild, SEED, 199, 1).unwrap();
-    let parallel = run_nvm_write_sweep_jobs(PtMode::Rebuild, SEED, 199, 8).unwrap();
+    let serial = write_sweep(1);
+    let parallel = write_sweep(8);
     assert_eq!(serial, parallel, "jobs=1 vs jobs=8 must agree bit-for-bit");
 }
 
@@ -96,12 +105,12 @@ fn stuck_cell_sweep_recovers_and_is_jobs_invariant() {
     // sweep still holds at every persist boundary, with the scrub/media
     // counters folded into the digest so the fault path itself is pinned
     // by the determinism check.
-    let plain = run_sweep(PtMode::Persistent, SEED).unwrap();
-    let serial = run_stuck_sweep_jobs(PtMode::Persistent, SEED, 4096, 1).unwrap();
+    let plain = sweep(PtMode::Persistent, SEED, false);
+    let serial = stuck_sweep(1);
     assert_eq!(serial.boundaries, plain.boundaries, "stuck cells must not move boundaries");
     assert_eq!(serial.recovered, plain.recovered, "stuck cells must not change durability");
 
-    let parallel = run_stuck_sweep_jobs(PtMode::Persistent, SEED, 4096, 8).unwrap();
+    let parallel = stuck_sweep(8);
     assert_eq!(serial, parallel, "jobs=1 vs jobs=8 must agree bit-for-bit");
 }
 

@@ -21,7 +21,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kindle_faults::run_data_integrity_sweep_jobs;
+use kindle_faults::{run_data_integrity_sweep_strategy, SweepStrategy};
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
 use kindle_sim::{Machine, MachineConfig};
@@ -238,8 +238,8 @@ fn without_patrold_a_corrupt_read_trips_the_new_invariant() {
 
 #[test]
 fn data_integrity_sweep_is_jobs_invariant() {
-    let a = run_data_integrity_sweep_jobs(0xDA7A, 3, 1).unwrap();
-    let b = run_data_integrity_sweep_jobs(0xDA7A, 3, 4).unwrap();
+    let a = run_data_integrity_sweep_strategy(0xDA7A, 3, 1, SweepStrategy::SnapshotFork).unwrap();
+    let b = run_data_integrity_sweep_strategy(0xDA7A, 3, 4, SweepStrategy::SnapshotFork).unwrap();
     assert_eq!(a, b, "worker count must not leak into the outcome");
     assert_eq!(a.points, 4);
     assert_eq!(a.data_healed, 3, "the budgeted daemon arm heals every seeded line");

@@ -1025,8 +1025,8 @@ impl Machine {
     /// may be on a different thread than the capturer).
     ///
     /// Restoring leaves the calling thread's [`RunContext`] untouched: the
-    /// fork runs the fault model, backend and store layout resolved into
-    /// the captured config. It only re-anchors the sanitizer's
+    /// fork runs the fault model and backend resolved into the captured
+    /// config. It only re-anchors the sanitizer's
     /// current-thread stamp to the scheduler's running kthread.
     pub fn restore(snap: &MachineSnapshot) -> Self {
         let m = Machine {

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release
 
+echo "== exact-output pins (release profile) =="
+cargo test --release -q --test exact_outputs
+
 echo "== every target and feature builds offline =="
 cargo check --workspace --all-targets --all-features --offline
 

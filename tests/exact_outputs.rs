@@ -7,11 +7,12 @@
 //! and stuck-cell boundaries, NVM writes at stride 199 under every registry
 //! backend, the data-integrity grid) are compared by their digests, which
 //! fold every observable of every crash point. The stride-199 sweep's
-//! snapshot-pool telemetry is pinned too.
+//! snapshot-pool telemetry is pinned too, as are every registry backend's
+//! far-tier parameters and its quick backend-grid row.
 
-use kindle::experiments::{run_fig4a, Fig4aParams};
-use kindle::mem::Backend;
-use kindle::prelude::PtMode;
+use kindle::experiments::{run_backend_grid, run_fig4a, BackendGridParams, Fig4aParams};
+use kindle::mem::{Backend, MediaFaultConfig, MemConfig, MemoryController};
+use kindle::prelude::{AccessKind, Cycles, MemKind, PtMode};
 use kindle::sim::RunContext;
 use kindle_faults::{
     run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
@@ -164,4 +165,142 @@ fn nvm_write_sweep_digests_are_pinned_per_backend() {
             assert_eq!(out.digest, want, "{name} {mode:?} stride-199 sweep digest");
         }
     }
+}
+
+/// One registry backend's far-tier row: name, label, the seven `NvmConfig`
+/// timing fields (read, write service, write buffer, write banks, read
+/// buffer, buffer insert, forward), read/write latency in ns, the idle
+/// NVM read and write latency in cycles measured through a fresh
+/// `MemoryController`, patrol capability, NVM-technology membership, and
+/// what the fault filter keeps of `MediaFaultConfig::with_seed(9)` (seed,
+/// wear limit, stuck cells, retries, backoff, correction entries).
+type BackendSpec =
+    (&'static str, &'static str, [u64; 7], (u64, u64), (u64, u64), bool, bool, Option<[u64; 6]>);
+
+fn backend_spec(b: Backend) -> BackendSpec {
+    let far = b.instance();
+    let t = far.timing();
+    let timing = [
+        t.read_ns,
+        t.write_service_ns,
+        t.write_buffer as u64,
+        t.write_banks as u64,
+        t.read_buffer as u64,
+        t.buffer_insert_ns,
+        t.forward_ns,
+    ];
+    let mut cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
+    cfg.backend = Some(b);
+    let nvm_pa = cfg.layout.range(MemKind::Nvm).base + 0x1000;
+    let idle = |kind| MemoryController::new(&cfg).access(nvm_pa, kind, Cycles::ZERO).as_u64();
+    let faults = far.fault_model(Some(MediaFaultConfig::with_seed(9))).map(|f| {
+        [
+            f.seed,
+            f.wear_limit,
+            f.stuck_cells as u64,
+            u64::from(f.retry_limit),
+            f.retry_backoff_ns,
+            u64::from(f.correction_entries),
+        ]
+    });
+    (
+        far.name(),
+        far.label(),
+        timing,
+        (far.read_latency_ns(), far.write_latency_ns()),
+        (idle(AccessKind::Read), idle(AccessKind::Write)),
+        far.patrol_capable(),
+        far.is_nvm_technology(),
+        faults,
+    )
+}
+
+#[test]
+fn backend_specs_are_pinned() {
+    let got: Vec<BackendSpec> = Backend::registry().iter().map(|&b| backend_spec(b)).collect();
+    let with_seed_9 = Some([9, 4096, 4, 3, 200, 0]);
+    let want: [BackendSpec; 6] = [
+        (
+            "pcm",
+            "PCM",
+            [150, 500, 48, 8, 64, 10, 30],
+            (150, 500),
+            (450, 30),
+            true,
+            true,
+            with_seed_9,
+        ),
+        (
+            "numa",
+            "NUMA-remote-DRAM",
+            [130, 130, 48, 16, 64, 10, 30],
+            (130, 130),
+            (390, 30),
+            false,
+            false,
+            None,
+        ),
+        (
+            "sttram",
+            "STT-MRAM",
+            [35, 100, 48, 8, 64, 10, 30],
+            (35, 100),
+            (105, 30),
+            true,
+            true,
+            Some([9, 0, 4, 3, 200, 0]),
+        ),
+        (
+            "cxl",
+            "CXL-far-DRAM",
+            [85, 85, 48, 16, 64, 10, 30],
+            (155, 155),
+            (465, 240),
+            false,
+            false,
+            None,
+        ),
+        (
+            "reram",
+            "ReRAM",
+            [100, 300, 48, 8, 64, 10, 30],
+            (100, 300),
+            (300, 30),
+            true,
+            true,
+            with_seed_9,
+        ),
+        (
+            "optane",
+            "Optane-DC",
+            [300, 100, 64, 8, 64, 10, 30],
+            (300, 100),
+            (900, 30),
+            true,
+            true,
+            with_seed_9,
+        ),
+    ];
+    assert_eq!(got, want, "registry backends' far-tier rows");
+}
+
+/// The quick backend grid (one 16 MiB Fig. 4a row per headline backend)
+/// as `(name, size_mb, rebuild_ms bits, persistent_ms bits)`.
+#[test]
+fn backend_grid_rows_are_pinned() {
+    let grid = run_backend_grid(&BackendGridParams::quick()).expect("backend grid runs");
+    let got: Vec<(&str, u64, u64, u64)> = grid
+        .iter()
+        .flat_map(|(b, rows)| {
+            rows.iter()
+                .map(|r| (b.name(), r.size_mb, r.rebuild_ms.to_bits(), r.persistent_ms.to_bits()))
+        })
+        .collect();
+    let want = [
+        ("pcm", 16, 4_623_438_898_181_200_273, 4_616_702_225_270_345_089),
+        ("numa", 16, 4_621_287_041_687_495_677, 4_616_378_857_809_900_632),
+        ("sttram", 16, 4_617_164_858_667_966_630, 4_613_534_845_153_615_295),
+        ("cxl", 16, 4_623_639_909_219_868_545, 4_618_175_518_215_744_284),
+    ];
+    assert_eq!(got, want, "backend grid quick rows");
 }

@@ -1,7 +1,11 @@
 //! Ablation: NVM write-buffer depth — sensitivity of the persistent
 //! page-table scheme (and checkpoint bursts) to burst absorption.
+//!
+//! The depth is set through `MemConfig::nvm`, which only the PCM backend
+//! reads, so any other `--backend` is rejected before anything runs.
 
 use kindle_bench::*;
+use kindle_core::mem::Backend;
 use kindle_core::os::PtMode;
 use kindle_core::types::PAGE_SIZE;
 
@@ -35,6 +39,12 @@ fn depth_cell(depth: usize) -> Result<(f64, u64)> {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
+    if harness.backend() != Backend::Pcm {
+        return Err(KindleError::InvalidArgument(
+            "ablation_wbuf sets the depth through MemConfig::nvm, which only the pcm backend \
+             reads; every other backend keeps its own fixed write buffer",
+        ));
+    }
     println!("ABLATION: NVM write-buffer depth (persistent scheme, 64 MiB churn)");
     rule(46);
     println!("{:>6} | {:>12} | {:>12}", "depth", "exec ms", "write stalls");

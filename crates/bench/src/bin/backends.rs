@@ -24,7 +24,7 @@ fn main() -> Result<()> {
         for r in rows {
             println!(
                 "{:<18} | {:>8} | {:>12} | {:>14} | {:>8.2}x",
-                b.instance().label(),
+                b.label(),
                 r.size_mb,
                 ms(r.rebuild_ms),
                 ms(r.persistent_ms),

@@ -2,21 +2,15 @@
 //! persistence and workload studies — "the scope for such studies
 //! increases the value of Kindle in hybrid memory research".
 //!
-//! Technologies come from the backend registry's NVM subset
-//! ([`kindle_core::mem::Backend::registry`]), the same source of truth
-//! as `NvmConfig::technologies()` — a preset can never drift from its
-//! backend.
+//! Technologies are the backend registry's NVM subset
+//! ([`kindle_core::mem::Backend::nvm_technologies`]), so each row runs
+//! exactly the timing and fault semantics `--backend <name>` selects.
 
 use kindle_bench::*;
 use kindle_core::mem::Backend;
 use kindle_core::os::PtMode;
 use kindle_core::prelude::*;
 use kindle_core::types::PAGE_SIZE;
-
-/// The registered NVM technology backends, in registry order.
-fn technologies() -> Vec<Backend> {
-    Backend::registry().iter().copied().filter(|b| b.instance().is_nvm_technology()).collect()
-}
 
 fn persistence_cell(backend: Backend, mode: PtMode) -> Result<f64> {
     let mut cfg = MachineConfig::table_i()
@@ -53,10 +47,10 @@ fn main() -> Result<()> {
         "technology", "rebuild ms", "persistent ms", "reb/pers"
     );
     rule(66);
-    let cells = parallel::par_map_cells(technologies(), |backend| {
+    let cells = parallel::par_map_cells(Backend::nvm_technologies(), |backend| {
         let reb = persistence_cell(backend, PtMode::Rebuild)?;
         let per = persistence_cell(backend, PtMode::Persistent)?;
-        Ok((backend.instance().label(), reb, per))
+        Ok((backend.label(), reb, per))
     })?;
     for (name, reb, per) in cells {
         println!("{:<10} | {:>12} | {:>14} | {:>8.2}x", name, ms(reb), ms(per), reb / per);
@@ -67,10 +61,10 @@ fn main() -> Result<()> {
     println!("{:<10} | {:>12}", "technology", "exec ms");
     rule(40);
     let kindle = Kindle::prepare_streaming(WorkloadKind::YcsbMem, ops, 42);
-    let replays = parallel::par_map_cells(technologies(), |backend| {
+    let replays = parallel::par_map_cells(Backend::nvm_technologies(), |backend| {
         let cfg = MachineConfig::table_i().with_backend(backend);
         let (run, _) = kindle.simulate(cfg, ReplayOptions::default())?;
-        Ok((backend.instance().label(), run.cycles.as_millis_f64()))
+        Ok((backend.label(), run.cycles.as_millis_f64()))
     })?;
     for (name, exec_ms) in replays {
         println!("{:<10} | {:>12}", name, ms(exec_ms));

@@ -1,16 +1,17 @@
 //! Prints the machine configuration — the paper's Table I.
 //!
-//! The far-tier row comes from the selected backend's trait accessors
-//! (`--backend`, default PCM), never from raw `NvmConfig` fields — the
-//! KD013 lint keeps latency/endurance fields inside the backend layer.
+//! The far-tier row comes from the selected [`kindle_core::mem::Backend`]'s
+//! methods (`--backend`, default PCM), never from raw `NvmConfig` latency
+//! fields — the KD013 lint keeps those inside the backend layer.
 
 use kindle_bench::*;
-use kindle_core::mem::MemoryBackend;
+use kindle_core::mem::Backend;
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
     let cfg = MachineConfig::table_i();
-    let far = harness.backend().instance();
+    let far = harness.backend();
+    let geometry = far.timing();
     println!("TABLE I: gem5-analog Memory Configuration");
     rule(52);
     println!("{:<28} {}", "Parameter", "Used Setting");
@@ -23,8 +24,8 @@ fn main() -> Result<()> {
         far.read_latency_ns(),
         far.write_latency_ns()
     );
-    println!("{:<28} {}", "NVM Write buffer size", far.write_buffer_entries());
-    println!("{:<28} {}", "NVM Read buffer size", far.read_buffer_entries());
+    println!("{:<28} {}", "NVM Write buffer size", geometry.write_buffer);
+    println!("{:<28} {}", "NVM Read buffer size", geometry.read_buffer);
     println!(
         "{:<28} {} GB DRAM + {} GB NVM",
         "Memory capacity",
@@ -46,7 +47,8 @@ fn main() -> Result<()> {
 /// Renders the Table I configuration as a JSON object. Table I has no
 /// experiment rows, so this is hand-written rather than going through
 /// `experiments::to_json`; the harness wraps it in the bench envelope.
-fn config_json(cfg: &MachineConfig, far: &dyn MemoryBackend) -> String {
+fn config_json(cfg: &MachineConfig, far: Backend) -> String {
+    let geometry = far.timing();
     format!(
         "{{\n  \"dram_banks\": {},\n  \"nvm_read_ns\": {},\n  \"nvm_write_service_ns\": {},\n  \
          \"nvm_write_buffer\": {},\n  \"nvm_read_buffer\": {},\n  \"dram_gb\": {},\n  \
@@ -55,8 +57,8 @@ fn config_json(cfg: &MachineConfig, far: &dyn MemoryBackend) -> String {
         cfg.mem.dram.banks,
         far.read_latency_ns(),
         far.write_latency_ns(),
-        far.write_buffer_entries(),
-        far.read_buffer_entries(),
+        geometry.write_buffer,
+        geometry.read_buffer,
         cfg.mem.layout.total(MemKind::Dram) >> 30,
         cfg.mem.layout.total(MemKind::Nvm) >> 30,
         cfg.caches.l1.size_bytes >> 10,

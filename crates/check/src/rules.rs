@@ -14,7 +14,7 @@
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
 //! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
 //! | KD012 | no `BTreeMap`/`BTreeSet` in any `crates/mem` source file (flat tables only) |
-//! | KD013 | no direct `NvmConfig` latency/endurance field access outside the `crates/mem` backend modules (go through `MemoryBackend`) |
+//! | KD013 | no direct `NvmConfig` latency/endurance field access outside the `crates/mem` backend modules (go through the `Backend` methods) |
 //!
 //! (KD005, the external-dependency rule, lives in [`crate::manifest`].)
 //!
@@ -64,8 +64,9 @@ const THREAD_LOCAL_HOMES: &[&str] = &["crates/types/src/sanitize.rs", "crates/si
 
 /// `NvmConfig` latency/endurance fields whose direct access is banned
 /// outside the backend modules (KD013). Every other layer reads timing
-/// through the `MemoryBackend` trait accessors, so a far-tier swap can
-/// never be bypassed by a caller assuming PCM's raw numbers.
+/// through the `Backend` methods (`read_latency_ns`, `write_latency_ns`,
+/// `fault_model`), so a far-tier swap can never be bypassed by a caller
+/// assuming PCM's raw numbers.
 const NVM_FIELD_BAN: &[&str] =
     &["read_ns", "write_service_ns", "buffer_insert_ns", "forward_ns", "wear_limit"];
 
@@ -356,7 +357,7 @@ fn message_of(rule: &str) -> &'static str {
         "KD013" => {
             "direct NvmConfig latency/endurance field access outside the \
              crates/mem backend modules; read timing through the \
-             MemoryBackend trait (read_latency_ns, write_latency_ns, \
+             Backend methods (read_latency_ns, write_latency_ns, \
              fault_model) so every far tier keeps its own semantics"
         }
         _ => "violation",

@@ -463,19 +463,19 @@ mod tests {
 
     #[test]
     fn fig4a_rows_are_backend_pcm_invariant() {
-        // PCM through the MemoryBackend trait (the bench harness's
-        // --backend pcm) must be byte-identical to the pre-trait default
-        // path, serial and parallel alike.
+        // An explicit PCM backend (the bench harness's --backend pcm)
+        // must be byte-identical to the unset default path, serial and
+        // parallel alike.
         let direct = run_fig4a(&Fig4aParams::quick()).unwrap();
         let pcm = RunContext { backend: Some(kindle_mem::Backend::Pcm), ..RunContext::default() };
         let guard = pcm.install();
-        let via_trait = run_fig4a(&Fig4aParams::quick());
+        let explicit = run_fig4a(&Fig4aParams::quick());
         drop(guard);
         let guard = RunContext { jobs: 4, ..pcm }.install();
-        let via_trait_par = run_fig4a(&Fig4aParams::quick());
+        let explicit_par = run_fig4a(&Fig4aParams::quick());
         drop(guard);
-        assert_eq!(direct, via_trait.unwrap(), "backend=pcm changed a Fig. 4a row");
-        assert_eq!(direct, via_trait_par.unwrap(), "backend=pcm diverged under jobs=4");
+        assert_eq!(direct, explicit.unwrap(), "backend=pcm changed a Fig. 4a row");
+        assert_eq!(direct, explicit_par.unwrap(), "backend=pcm diverged under jobs=4");
     }
 
     #[test]

@@ -78,11 +78,10 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 const SNAPSHOT_POOL_CAPACITY: usize = 32;
 
 /// How a sweep executes each crash point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepStrategy {
     /// Fork each crash point from the nearest golden-run snapshot — O(n)
-    /// total simulated work. The default.
-    #[default]
+    /// total simulated work.
     SnapshotFork,
     /// Re-execute the whole workload from cycle 0 for each point — the
     /// original O(n²) path, kept as the cross-check oracle: its digests

@@ -25,8 +25,9 @@ impl Default for DramConfig {
     }
 }
 
-/// NVM (PCM) device timing, based on the parameters of Song et al. that the
-/// paper cites for its gem5 PCM interface.
+/// NVM device timing. [`NvmConfig::pcm`] follows the parameters of Song et
+/// al. that the paper cites for its gem5 PCM interface; every far-tier
+/// backend hands out its own from [`crate::backend::Backend::timing`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NvmConfig {
     /// Array read latency in ns.
@@ -59,42 +60,6 @@ impl NvmConfig {
             buffer_insert_ns: 10,
             forward_ns: 30,
         }
-    }
-
-    /// STT-MRAM: near-DRAM reads, moderately slow writes.
-    pub fn stt_mram() -> Self {
-        NvmConfig { read_ns: 35, write_service_ns: 100, ..Self::pcm() }
-    }
-
-    /// ReRAM: between PCM and STT-MRAM on both paths.
-    pub fn reram() -> Self {
-        NvmConfig { read_ns: 100, write_service_ns: 300, ..Self::pcm() }
-    }
-
-    /// Optane-DC-like: slow loaded reads, writes absorbed by a large
-    /// on-DIMM buffer draining fast.
-    pub fn optane_dc() -> Self {
-        NvmConfig {
-            read_ns: 300,
-            write_service_ns: 100,
-            write_buffer: 64,
-            write_banks: 8,
-            ..Self::pcm()
-        }
-    }
-
-    /// All named technology profiles with labels (for sweeps).
-    ///
-    /// Delegates to the backend registry so a preset can never drift
-    /// from its [`crate::backend::MemoryBackend`] instance — the
-    /// registry is the single source of truth for both.
-    pub fn technologies() -> Vec<(&'static str, NvmConfig)> {
-        crate::backend::Backend::registry()
-            .iter()
-            .map(|b| b.instance())
-            .filter(|i| i.is_nvm_technology())
-            .map(|i| (i.label(), i.timing()))
-            .collect()
     }
 }
 
@@ -162,10 +127,10 @@ pub struct MemConfig {
     /// path changes no observable output).
     pub mru_page_cache: bool,
     /// Far-tier backend selection. `None` (the default) means PCM with
-    /// this config's `nvm` timings — byte-identical to the pre-trait
-    /// path. `Some(b)` routes timing, fault filtering, patrol
-    /// capability and access penalties through `b`'s
-    /// [`crate::backend::MemoryBackend`] instance.
+    /// this config's `nvm` timings. `Some(b)` takes timing, fault
+    /// filtering, patrol capability and the link penalty from `b`'s
+    /// [`crate::backend::Backend`] methods. PCM, set or unset, keeps
+    /// this config's `nvm`; every other backend ignores it.
     pub backend: Option<crate::backend::Backend>,
 }
 

@@ -150,16 +150,13 @@ pub struct MemoryController {
     retry_limit: u32,
     retry_backoff: Cycles,
     write_service: Cycles,
-    /// Far-tier backend identity; its instance supplied the timing, the
-    /// fault filter and the penalties below at construction time.
+    /// Far-tier backend; it supplied the timing and the fault filter at
+    /// construction time, and gates patrol (`patrol_frame` reports `Clean`
+    /// by contract when the backend is not patrol-capable).
     backend: Backend,
-    /// Per-access interconnect penalties (CXL link + far controller),
+    /// Per-access interconnect penalty (CXL link + far controller),
     /// precomputed from the backend. `ZERO` for bus-attached tiers.
-    read_penalty: Cycles,
-    write_penalty: Cycles,
-    /// Whether the backend participates in checksum patrol / ECP; when
-    /// false, `patrol_frame` reports `Clean` by contract.
-    patrol_capable: bool,
+    link_penalty: Cycles,
     nvm_lines_committed: u64,
     nvm_lines_lost_on_crash: u64,
     nvm_lines_torn_on_crash: u64,
@@ -173,16 +170,15 @@ impl MemoryController {
     /// reading as zero.
     ///
     /// The far tier's semantics come from `cfg.backend` (PCM when unset):
-    /// device timing is the backend's — except for PCM, which keeps
-    /// honouring `cfg.nvm` verbatim so explicit timing overrides and the
-    /// pre-trait path stay byte-identical — and the requested fault model
-    /// is filtered through [`crate::backend::MemoryBackend::fault_model`]
-    /// before arming.
+    /// device timing is [`Backend::timing`] — except for PCM, which keeps
+    /// honouring `cfg.nvm` verbatim so explicit timing overrides work —
+    /// the requested fault model is filtered through
+    /// [`Backend::fault_model`] before arming, and every far-tier access
+    /// pays [`Backend::link_penalty_ns`].
     pub fn new(cfg: &MemConfig) -> Self {
-        let backend = cfg.backend.unwrap_or(Backend::Pcm);
-        let bi = backend.instance();
-        let nvm_cfg = if backend == Backend::Pcm { cfg.nvm.clone() } else { bi.timing() };
-        let faults = bi.fault_model(cfg.faults);
+        let backend = cfg.backend.unwrap_or_default();
+        let nvm_cfg = if backend == Backend::Pcm { cfg.nvm.clone() } else { backend.timing() };
+        let faults = backend.fault_model(cfg.faults);
         let media = faults.as_ref().map(|f| {
             let nvm = cfg.layout.range(MemKind::Nvm);
             MediaFaults::new(*f, nvm.base.as_u64(), nvm.size)
@@ -209,9 +205,7 @@ impl MemoryController {
             retry_backoff: Cycles::from_nanos(faults.as_ref().map_or(0, |f| f.retry_backoff_ns)),
             write_service: Cycles::from_nanos(nvm_cfg.write_service_ns),
             backend,
-            read_penalty: Cycles::from_nanos(bi.access_penalty_ns(false)),
-            write_penalty: Cycles::from_nanos(bi.access_penalty_ns(true)),
-            patrol_capable: bi.patrol_capable(),
+            link_penalty: Cycles::from_nanos(backend.link_penalty_ns()),
             nvm_lines_committed: 0,
             nvm_lines_lost_on_crash: 0,
             nvm_lines_torn_on_crash: 0,
@@ -276,8 +270,7 @@ impl MemoryController {
             MemKind::Nvm => {
                 let mut lat = self.nvm.access(pa, kind, now);
                 // Backend interconnect cost (Cycles::ZERO off-CXL).
-                lat +=
-                    if kind == AccessKind::Write { self.write_penalty } else { self.read_penalty };
+                lat += self.link_penalty;
                 if kind == AccessKind::Write && self.media.is_some() {
                     lat += self.media_write_penalty(pa.line_base().as_u64());
                 }
@@ -575,7 +568,7 @@ impl MemoryController {
     /// cannot be reconstructed — ECP budget exhausted, or content torn at a
     /// crash — are reported [`PatrolOutcome::Uncorrectable`].
     pub fn patrol_frame(&mut self, frame_base: u64) -> PatrolOutcome {
-        if !self.patrol_capable {
+        if !self.backend.patrol_capable() {
             // DRAM-class far tiers record no line checksums: patrol is a
             // clean no-op by backend contract, not by accident.
             return PatrolOutcome::Clean;
@@ -1380,10 +1373,9 @@ mod tests {
         cfg.backend = Some(Backend::Cxl);
         let nvm_pa = cfg.layout.range(MemKind::Nvm).base + 0x1000;
         let mut m = MemoryController::new(&cfg);
-        let cxl = Backend::Cxl.instance();
         assert_eq!(
             m.access(nvm_pa, AccessKind::Read, Cycles::ZERO),
-            Cycles::from_nanos(cxl.read_latency_ns()),
+            Cycles::from_nanos(Backend::Cxl.read_latency_ns()),
             "idle far read = media latency + link/controller penalty"
         );
         assert_eq!(m.backend(), Backend::Cxl);

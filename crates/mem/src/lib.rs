@@ -30,10 +30,7 @@ pub mod nvm;
 pub mod stats;
 pub mod store;
 
-pub use backend::{
-    Backend, CxlBackend, MemoryBackend, NumaBackend, OptaneDcBackend, PcmBackend, ReRamBackend,
-    SttRamBackend,
-};
+pub use backend::Backend;
 pub use config::{DramConfig, MediaFaultConfig, MemConfig, NvmConfig};
 pub use controller::{MemoryController, PatrolOutcome, PowerSwitch};
 pub use dram::DramDevice;

@@ -128,13 +128,6 @@ impl MachineConfig {
         self
     }
 
-    /// Swaps the NVM technology (paper §V-D: "we can use Kindle to study
-    /// other NVM technologies by changing NVM interface parameters").
-    pub fn with_nvm_technology(mut self, nvm: kindle_mem::NvmConfig) -> Self {
-        self.mem.nvm = nvm;
-        self
-    }
-
     /// Selects the far-tier memory backend (timing, endurance/fault
     /// semantics, patrol capability — see [`kindle_mem::Backend`]).
     pub fn with_backend(mut self, backend: kindle_mem::Backend) -> Self {

@@ -14,6 +14,18 @@ cargo test --release -q --test exact_outputs
 echo "== every target and feature builds offline =="
 cargo check --workspace --all-targets --all-features --offline
 
+echo "== the frozen benchmark (perfbench) builds offline =="
+# perfbench is a workspace of its own, so the check above never builds it;
+# a deleted public name it uses would otherwise fail only in perf-pairs.
+# cargo rewrites its stale Cargo.lock, which stays as committed.
+lock_backup=$(mktemp)
+cp perfbench/Cargo.lock "$lock_backup"
+status=0
+cargo check --offline --manifest-path perfbench/Cargo.toml || status=$?
+cp "$lock_backup" perfbench/Cargo.lock
+rm -f "$lock_backup"
+[ "$status" -eq 0 ]
+
 echo "== tests (workspace) =="
 cargo test --workspace -q
 

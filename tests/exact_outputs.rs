@@ -178,8 +178,7 @@ type BackendSpec =
     (&'static str, &'static str, [u64; 7], (u64, u64), (u64, u64), bool, bool, Option<[u64; 6]>);
 
 fn backend_spec(b: Backend) -> BackendSpec {
-    let far = b.instance();
-    let t = far.timing();
+    let t = b.timing();
     let timing = [
         t.read_ns,
         t.write_service_ns,
@@ -193,7 +192,7 @@ fn backend_spec(b: Backend) -> BackendSpec {
     cfg.backend = Some(b);
     let nvm_pa = cfg.layout.range(MemKind::Nvm).base + 0x1000;
     let idle = |kind| MemoryController::new(&cfg).access(nvm_pa, kind, Cycles::ZERO).as_u64();
-    let faults = far.fault_model(Some(MediaFaultConfig::with_seed(9))).map(|f| {
+    let faults = b.fault_model(Some(MediaFaultConfig::with_seed(9))).map(|f| {
         [
             f.seed,
             f.wear_limit,
@@ -204,13 +203,13 @@ fn backend_spec(b: Backend) -> BackendSpec {
         ]
     });
     (
-        far.name(),
-        far.label(),
+        b.name(),
+        b.label(),
         timing,
-        (far.read_latency_ns(), far.write_latency_ns()),
+        (b.read_latency_ns(), b.write_latency_ns()),
         (idle(AccessKind::Read), idle(AccessKind::Write)),
-        far.patrol_capable(),
-        far.is_nvm_technology(),
+        b.patrol_capable(),
+        b.is_nvm_technology(),
         faults,
     )
 }

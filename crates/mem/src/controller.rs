@@ -1241,20 +1241,20 @@ mod tests {
     #[test]
     fn backend_pcm_is_observation_equivalent() {
         let cfg_direct = MemConfig::with_capacities(16 << 20, 16 << 20);
-        let mut cfg_trait = cfg_direct.clone();
-        cfg_trait.backend = Some(Backend::Pcm);
+        let mut cfg_pcm = cfg_direct.clone();
+        cfg_pcm.backend = Some(Backend::Pcm);
         assert!(cfg_direct.backend.is_none(), "backend must default unset");
         let dram_pa = PhysAddr::new(0x1000);
         let nvm_pa = cfg_direct.layout.range(MemKind::Nvm).base + 0x1000;
         let mut direct = MemoryController::new(&cfg_direct);
-        let mut via_trait = MemoryController::new(&cfg_trait);
+        let mut explicit = MemoryController::new(&cfg_pcm);
         let a = mru_workload(&mut direct, dram_pa, nvm_pa);
-        let b = mru_workload(&mut via_trait, dram_pa, nvm_pa);
-        assert_eq!(a, b, "PCM via the trait must not change any observable byte");
-        assert_eq!(direct.stats(), via_trait.stats(), "nor any statistic");
+        let b = mru_workload(&mut explicit, dram_pa, nvm_pa);
+        assert_eq!(a, b, "an explicit PCM backend must not change any observable byte");
+        assert_eq!(direct.stats(), explicit.stats(), "nor any statistic");
         assert_eq!(
             direct.access(nvm_pa, AccessKind::Read, Cycles::from_nanos(1 << 30)),
-            via_trait.access(nvm_pa, AccessKind::Read, Cycles::from_nanos(1 << 30)),
+            explicit.access(nvm_pa, AccessKind::Read, Cycles::from_nanos(1 << 30)),
             "nor any latency"
         );
     }
@@ -1264,7 +1264,7 @@ mod tests {
         // An armed-media torn-crash gauntlet that exercises every store at
         // once: pages (stores/loads), nvm_sums (media armed records
         // checksums; patrol reads them), nvm_undo/wbuf_undo (armed power
-        // cut, commit, torn crash). Compares the pre-trait default path
+        // cut, commit, torn crash). Compares the unset default path
         // against backend=Pcm.
         let run = |backend: Option<Backend>| -> (Vec<u8>, MemStats, PatrolOutcome) {
             let mut cfg = MemConfig::with_capacities(16 << 20, 16 << 20);
@@ -1301,10 +1301,10 @@ mod tests {
             (observed, m.stats(), patrol)
         };
         let (bytes_direct, stats_direct, patrol_direct) = run(None);
-        let (bytes_trait, stats_trait, patrol_trait) = run(Some(Backend::Pcm));
-        assert_eq!(bytes_direct, bytes_trait, "post-crash image must match byte for byte");
-        assert_eq!(stats_direct, stats_trait, "every counter must match");
-        assert_eq!(patrol_direct, patrol_trait, "patrol verdicts must match");
+        let (bytes_pcm, stats_pcm, patrol_pcm) = run(Some(Backend::Pcm));
+        assert_eq!(bytes_direct, bytes_pcm, "post-crash image must match byte for byte");
+        assert_eq!(stats_direct, stats_pcm, "every counter must match");
+        assert_eq!(patrol_direct, patrol_pcm, "patrol verdicts must match");
     }
 
     /// Hammers one NVM line far past a tiny wear budget and reports the
@@ -1334,7 +1334,7 @@ mod tests {
         assert!(pcm.nvm_write_retries > 0, "wear budget of 8 must force PCM retries");
         assert!(pcm.nvm_frames_failed > 0, "and permanent failure");
         // ...but STT-RAM's fault filter zeroes the wear budget, so the
-        // wear-out/retirement paths no-op through the trait.
+        // wear-out/retirement paths no-op.
         let stt = hammer_line(Some(Backend::SttRam));
         assert_eq!(stt.nvm_write_retries, 0, "STT-RAM must never retry for wear");
         assert_eq!(stt.nvm_frames_failed, 0, "nor retire frames");

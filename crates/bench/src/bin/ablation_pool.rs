@@ -16,11 +16,12 @@ fn main() -> Result<()> {
         "pool pages", "exec ms", "migrated", "copyback", "sel %", "clean uses"
     );
     rule(76);
-    let cells = parallel::par_map_cells(vec![128usize, 256, 512, 1024, 2048], |pool| {
-        let cfg = MachineConfig::table_i().with_hscc(
+    let run = harness.run();
+    let cells = parallel::par_map_cells(run.jobs, vec![128usize, 256, 512, 1024, 2048], |pool| {
+        let cfg = run.apply(MachineConfig::table_i().with_hscc(
             HsccConfig { fetch_threshold: 5, pool_pages: pool, ..Default::default() },
             true,
-        );
+        ));
         let (run, rep) = kindle.simulate(cfg, ReplayOptions::default())?;
         let s = rep.hscc.expect("hscc enabled");
         Ok((pool, run.cycles.as_millis_f64(), s))

@@ -2,21 +2,22 @@
 //! page-table scheme (and checkpoint bursts) to burst absorption.
 //!
 //! The depth is set through `MemConfig::nvm`, which only the PCM backend
-//! reads, so any other `--backend` is rejected before anything runs.
+//! reads (`Machine::new` refuses it under any other), so any other
+//! `--backend` is rejected before anything runs.
 
 use kindle_bench::*;
 use kindle_core::mem::Backend;
 use kindle_core::os::PtMode;
 use kindle_core::types::PAGE_SIZE;
 
-fn depth_cell(depth: usize) -> Result<(f64, u64)> {
+fn depth_cell(depth: usize, run: RunSettings) -> Result<(f64, u64)> {
     let mut cfg = MachineConfig::table_i()
         .with_pt_mode(PtMode::Persistent)
         .with_checkpointing(Cycles::from_millis(10));
     cfg.mem.nvm.write_buffer = depth;
     // Keep demand-zeroing on: each fault's 64-line burst is exactly
     // the traffic the write buffer exists to absorb.
-    let mut m = Machine::new(cfg)?;
+    let mut m = Machine::new(run.apply(cfg))?;
     let pid = m.spawn_process()?;
     let t0 = m.now();
     let base = 256u64 << 20;
@@ -49,8 +50,9 @@ fn main() -> Result<()> {
     rule(46);
     println!("{:>6} | {:>12} | {:>12}", "depth", "exec ms", "write stalls");
     rule(46);
-    let cells = parallel::par_map_cells(vec![8usize, 16, 48, 128, 512], |depth| {
-        depth_cell(depth).map(|(elapsed, stalls)| (depth, elapsed, stalls))
+    let run = harness.run();
+    let cells = parallel::par_map_cells(run.jobs, vec![8usize, 16, 48, 128, 512], |depth| {
+        depth_cell(depth, run).map(|(elapsed, stalls)| (depth, elapsed, stalls))
     })?;
     for (depth, elapsed, stalls) in cells {
         println!("{:>6} | {:>12} | {:>12}", depth, ms(elapsed), stalls);

@@ -11,7 +11,9 @@ use kindle_core::experiments::{run_backend_grid, BackendGridParams};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { BackendGridParams::quick() } else { BackendGridParams::paper() };
+    let mut p =
+        if harness.quick() { BackendGridParams::quick() } else { BackendGridParams::paper() };
+    p.fig4a.run = harness.run();
     println!("BACKENDS x SCHEMES: Fig. 4a persistence grid per far-tier backend");
     rule(76);
     println!(

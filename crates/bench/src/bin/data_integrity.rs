@@ -28,17 +28,20 @@ const STUCK_LINES: usize = 3;
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let jobs = harness.jobs();
+    let run = harness.run();
+    let jobs = run.jobs;
     let stuck = harness.stuck().unwrap_or(STUCK_LINES);
     println!("DATA-INTEGRITY: ECP-budget x daemon grid, {stuck} corrupt lines/point, serial vs {jobs} workers");
     rule(78);
 
     let t0 = std::time::Instant::now();
-    let serial = run_data_integrity_sweep_strategy(SEED, stuck, 1, SweepStrategy::SnapshotFork)?;
+    let serial_run = RunSettings { jobs: 1, ..run };
+    let serial =
+        run_data_integrity_sweep_strategy(SEED, stuck, serial_run, SweepStrategy::SnapshotFork)?;
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
     let threaded =
-        run_data_integrity_sweep_strategy(SEED, stuck, jobs, SweepStrategy::SnapshotFork)?;
+        run_data_integrity_sweep_strategy(SEED, stuck, run, SweepStrategy::SnapshotFork)?;
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
     assert_eq!(serial, threaded, "jobs=1 vs jobs={jobs} must agree bit-for-bit");
     println!(
@@ -62,7 +65,7 @@ fn main() -> Result<()> {
     // itself, not the recovery work.
     let interval = harness.patrol_interval().unwrap_or(DEFAULT_PATROL_INTERVAL);
     let cfg = MachineConfig::small().with_patrol_interval(interval);
-    let mut m = Machine::new(cfg)?;
+    let mut m = Machine::new(run.apply(cfg))?;
     let pid = m.spawn_process()?;
     let va = m.mmap(pid, 16 * 4096, Prot::RW, MapFlags::NVM)?;
     for i in 0..20_000u64 {

@@ -6,7 +6,8 @@ use kindle_core::experiments::{run_fig4a, Fig4aParams};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { Fig4aParams::quick() } else { Fig4aParams::paper() };
+    let mut p = if harness.quick() { Fig4aParams::quick() } else { Fig4aParams::paper() };
+    p.run = harness.run();
     println!(
         "FIGURE 4a: sequential alloc+access, checkpoint interval {} ms",
         p.interval.as_millis_f64()

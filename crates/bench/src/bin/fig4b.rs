@@ -5,7 +5,8 @@ use kindle_core::experiments::{run_fig4b, Fig4bParams};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { Fig4bParams::quick() } else { Fig4bParams::paper() };
+    let mut p = if harness.quick() { Fig4bParams::quick() } else { Fig4bParams::paper() };
+    p.run = harness.run();
     println!("FIGURE 4b: ten 4 KiB pages at different strides");
     rule(56);
     println!("{:>7} | {:>12} | {:>14}", "stride", "rebuild ms", "persistent ms");

@@ -9,6 +9,7 @@ fn main() -> Result<()> {
     if harness.quick() {
         p.workloads = kindle_core::trace::WorkloadKind::ALL.to_vec();
     }
+    p.run = harness.run();
     println!("FIGURE 5: SSP overhead, normalized to no memory consistency ({} ops)", p.ops);
     rule(78);
     println!(

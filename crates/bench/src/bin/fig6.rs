@@ -6,7 +6,8 @@ use kindle_core::experiments::{run_fig6, Fig6Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { Fig6Params::quick() } else { Fig6Params::paper() };
+    let mut p = if harness.quick() { Fig6Params::quick() } else { Fig6Params::paper() };
+    p.run = harness.run();
     println!("FIGURE 6 + TABLES V/VI: HSCC fetch-threshold sweep ({} ops)", p.ops);
     rule(96);
     println!(

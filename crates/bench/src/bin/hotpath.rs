@@ -50,7 +50,7 @@ struct Stream {
 }
 
 impl Stream {
-    fn build(pages: u64) -> Result<Stream> {
+    fn build(pages: u64, run: RunSettings) -> Result<Stream> {
         let mut faults = mem::MediaFaultConfig::with_seed(5);
         faults.correction_entries = STUCK_CORRECTION_ENTRIES;
         let mut cfg = MachineConfig::small().with_pt_mode(PtMode::Persistent);
@@ -64,7 +64,7 @@ impl Stream {
         cfg.caches.l1.assoc = 2;
         cfg.caches.l2.assoc = 2;
         cfg.caches.llc.assoc = 4;
-        let mut m = Machine::new(cfg)?;
+        let mut m = Machine::new(run.apply(cfg))?;
 
         let pid = m.spawn_process()?;
         let va = m.mmap(pid, pages * 4096, Prot::RW, MapFlags::NVM)?;
@@ -105,7 +105,7 @@ fn main() -> Result<()> {
     let (pages, chunks) = if harness.quick() { (4096, 6) } else { (8192, 16) };
     let chunk = pages;
 
-    let mut s = Stream::build(pages)?;
+    let mut s = Stream::build(pages, harness.run())?;
     s.chunk(chunk)?; // untimed warm-up
     let started = std::time::Instant::now();
     for _ in 0..chunks {

@@ -12,14 +12,14 @@ use kindle_core::os::PtMode;
 use kindle_core::prelude::*;
 use kindle_core::types::PAGE_SIZE;
 
-fn persistence_cell(backend: Backend, mode: PtMode) -> Result<f64> {
+fn persistence_cell(backend: Backend, mode: PtMode, run: RunSettings) -> Result<f64> {
     let mut cfg = MachineConfig::table_i()
         .with_pt_mode(mode)
         .with_checkpointing(Cycles::from_millis(10))
         .with_backend(backend);
     cfg.costs.mapping_list_op = 2600;
     cfg.costs.zero_new_frames = false;
-    let mut m = Machine::new(cfg)?;
+    let mut m = Machine::new(run.apply(cfg))?;
     let pid = m.spawn_process()?;
     let t0 = m.now();
     let size = 128u64 << 20;
@@ -47,9 +47,10 @@ fn main() -> Result<()> {
         "technology", "rebuild ms", "persistent ms", "reb/pers"
     );
     rule(66);
-    let cells = parallel::par_map_cells(Backend::nvm_technologies(), |backend| {
-        let reb = persistence_cell(backend, PtMode::Rebuild)?;
-        let per = persistence_cell(backend, PtMode::Persistent)?;
+    let run = harness.run();
+    let cells = parallel::par_map_cells(run.jobs, Backend::nvm_technologies(), |backend| {
+        let reb = persistence_cell(backend, PtMode::Rebuild, run)?;
+        let per = persistence_cell(backend, PtMode::Persistent, run)?;
         Ok((backend.label(), reb, per))
     })?;
     for (name, reb, per) in cells {
@@ -61,8 +62,8 @@ fn main() -> Result<()> {
     println!("{:<10} | {:>12}", "technology", "exec ms");
     rule(40);
     let kindle = Kindle::prepare_streaming(WorkloadKind::YcsbMem, ops, 42);
-    let replays = parallel::par_map_cells(Backend::nvm_technologies(), |backend| {
-        let cfg = MachineConfig::table_i().with_backend(backend);
+    let replays = parallel::par_map_cells(run.jobs, Backend::nvm_technologies(), |backend| {
+        let cfg = run.apply(MachineConfig::table_i().with_backend(backend));
         let (run, _) = kindle.simulate(cfg, ReplayOptions::default())?;
         Ok((backend.label(), run.cycles.as_millis_f64()))
     })?;

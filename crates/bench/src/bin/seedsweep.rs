@@ -5,9 +5,9 @@
 //! Each seed shuffles the per-line endurance jitter, so the sweep shows
 //! how sensitive the paper's headline persistence numbers are to *where*
 //! the media wears out, not just whether it does. Seeds run as
-//! independent fork-join items: each cell installs its own media-fault
-//! model in the run context, so the whole sweep scales with `--jobs`
-//! while every per-seed result stays byte-identical to a serial run.
+//! independent fork-join items: each runs its grids serially under its
+//! own media-fault model, so the whole sweep scales with `--jobs` while
+//! every per-seed result stays byte-identical to a serial run.
 //!
 //! Each seed also runs the data-integrity grid
 //! ([`run_data_integrity_sweep_strategy`]) with a per-seed corruption load,
@@ -21,6 +21,7 @@
 //! external tooling).
 
 use kindle_bench::*;
+use kindle_core::experiments::{run_fig4a, run_table4, Fig4aParams, Table4Params};
 use kindle_core::mem::MediaFaultConfig;
 use kindle_faults::{run_data_integrity_sweep_strategy, SweepStrategy};
 
@@ -67,13 +68,14 @@ fn table4_persistent_ms(rows: &[experiments::Table4Row]) -> f64 {
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let (p4a, pt4, nseeds) = if harness.quick() {
-        (experiments::Fig4aParams::quick(), experiments::Table4Params::quick(), 4u64)
+    let (mut p4a, mut pt4, nseeds) = if harness.quick() {
+        (Fig4aParams::quick(), Table4Params::quick(), 4u64)
     } else {
-        (experiments::Fig4aParams::paper(), experiments::Table4Params::paper(), 16u64)
+        (Fig4aParams::paper(), Table4Params::paper(), 16u64)
     };
-    let base = sim::RunContext::current().faults.map_or(0xBAD_5EED, |f| f.seed);
-    let jobs = harness.jobs();
+    let run = harness.run();
+    let base = run.faults.map_or(0xBAD_5EED, |f| f.seed);
+    let jobs = run.jobs;
     let stuck = harness.stuck().unwrap_or(0);
     println!("SEEDSWEEP: Fig. 4a + Table IV under media faults, {nseeds} seeds from {base:#x}");
     println!(
@@ -82,29 +84,27 @@ fn main() -> Result<()> {
     );
     rule(74);
 
-    // Fault-free baseline first, on a clean fault model. `par_map` carries
-    // the caller's context onto every worker, so the baseline stays
-    // fault-free at any worker count, and each seed below installs its
-    // own model over the same clean context.
-    let clean = sim::RunContext { faults: None, ..sim::RunContext::current() }.install();
-    let base4a = fig4a_persistent_ms(&experiments::run_fig4a(&p4a)?);
-    let baset4 = table4_persistent_ms(&experiments::run_table4(&pt4)?);
+    // Fault-free baseline first, on all workers; each seed below runs the
+    // same grids serially inside its worker, under its own fault model.
+    let clean = RunSettings { faults: None, ..run };
+    (p4a.run, pt4.run) = (clean, clean);
+    let base4a = fig4a_persistent_ms(&run_fig4a(&p4a)?);
+    let baset4 = table4_persistent_ms(&run_table4(&pt4)?);
 
     let seeds: Vec<u64> = (0..nseeds).map(|i| base.wrapping_add(i)).collect();
     let rows: Vec<SeedRow> = parallel::par_map(jobs, seeds, |seed| -> Result<SeedRow> {
-        let faults = Some(sweep_faults(seed, stuck));
-        let seeded = sim::RunContext { faults, ..sim::RunContext::current() }.install();
-        let fig4a = experiments::run_fig4a(&p4a);
-        let table4 = experiments::run_table4(&pt4);
-        drop(seeded);
-        let fig4a_ms = fig4a_persistent_ms(&fig4a?);
-        let table4_ms = table4_persistent_ms(&table4?);
+        let seeded = RunSettings { faults: Some(sweep_faults(seed, stuck)), jobs: 1, ..run };
+        let fig4a_ms =
+            fig4a_persistent_ms(&run_fig4a(&Fig4aParams { run: seeded, ..p4a.clone() })?);
+        let table4_ms =
+            table4_persistent_ms(&run_table4(&Table4Params { run: seeded, ..pt4.clone() })?);
         // The healed-vs-poisoned frontier: seed `base + i` corrupts
         // `1 + i mod 4` data lines, so across the sweep the budgeted arm's
         // heal count climbs while the zero-budget arm keeps losing exactly
         // one page — graceful degradation does not spread with corruption.
         let lines = 1 + (seed.wrapping_sub(base) % 4) as usize;
-        let integ = run_data_integrity_sweep_strategy(seed, lines, 1, SweepStrategy::SnapshotFork)?;
+        let integ =
+            run_data_integrity_sweep_strategy(seed, lines, seeded, SweepStrategy::SnapshotFork)?;
         Ok(SeedRow {
             seed,
             fig4a_ms,
@@ -117,7 +117,6 @@ fn main() -> Result<()> {
     })
     .into_iter()
     .collect::<Result<_>>()?;
-    drop(clean);
 
     println!(
         "{:>18} | {:>10} | {:>8} | {:>10} | {:>8} | {:>6} | {:>6}",

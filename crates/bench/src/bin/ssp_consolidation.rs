@@ -16,7 +16,7 @@ fn main() -> Result<()> {
         "benchmark", "consolidation", "normalized", "consolidated"
     );
     rule(70);
-    let rows = run_consolidation_sweep(WorkloadKind::YcsbMem, ops, 42, &sweeps)?;
+    let rows = run_consolidation_sweep(WorkloadKind::YcsbMem, ops, 42, &sweeps, harness.run())?;
     harness.maybe_csv(&rows);
     harness.maybe_json(&rows);
     for r in &rows {

@@ -16,7 +16,7 @@
 use kindle_bench::*;
 use kindle_core::os::PtMode;
 use kindle_faults::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_stuck_sweep_strategy,
     run_sweep_strategy, SweepStrategy, SweepTelemetry,
 };
 
@@ -35,30 +35,30 @@ fn timed<T>(f: impl FnOnce() -> Result<T>) -> Result<(T, f64)> {
 
 /// Cross-checks the snapshot-forked execution of every sweep family
 /// against the replay-from-zero oracle (`--verify-replay`).
-fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
+fn verify_all_families(run: RunSettings, stride: u64) -> Result<()> {
     println!("VERIFY: snapshot-forked digests vs replay-from-zero, all families");
     rule(78);
     for (family, forked, replayed) in [
         (
             "boundary/rebuild",
-            run_sweep_strategy(PtMode::Rebuild, SEED, false, jobs, SweepStrategy::SnapshotFork)?,
-            run_sweep_strategy(PtMode::Rebuild, SEED, false, jobs, SweepStrategy::ReplayFromZero)?,
+            run_sweep_strategy(PtMode::Rebuild, SEED, false, run, SweepStrategy::SnapshotFork)?,
+            run_sweep_strategy(PtMode::Rebuild, SEED, false, run, SweepStrategy::ReplayFromZero)?,
         ),
         (
             "boundary/persistent",
-            run_sweep_strategy(PtMode::Persistent, SEED, false, jobs, SweepStrategy::SnapshotFork)?,
+            run_sweep_strategy(PtMode::Persistent, SEED, false, run, SweepStrategy::SnapshotFork)?,
             run_sweep_strategy(
                 PtMode::Persistent,
                 SEED,
                 false,
-                jobs,
+                run,
                 SweepStrategy::ReplayFromZero,
             )?,
         ),
         (
             "threaded",
-            run_sweep_strategy(PtMode::Rebuild, SEED, true, jobs, SweepStrategy::SnapshotFork)?,
-            run_sweep_strategy(PtMode::Rebuild, SEED, true, jobs, SweepStrategy::ReplayFromZero)?,
+            run_sweep_strategy(PtMode::Rebuild, SEED, true, run, SweepStrategy::SnapshotFork)?,
+            run_sweep_strategy(PtMode::Rebuild, SEED, true, run, SweepStrategy::ReplayFromZero)?,
         ),
         (
             "stuck",
@@ -66,14 +66,14 @@ fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
                 PtMode::Persistent,
                 SEED,
                 STUCK_CELLS,
-                jobs,
+                run,
                 SweepStrategy::SnapshotFork,
             )?,
             run_stuck_sweep_strategy(
                 PtMode::Persistent,
                 SEED,
                 STUCK_CELLS,
-                jobs,
+                run,
                 SweepStrategy::ReplayFromZero,
             )?,
         ),
@@ -86,29 +86,17 @@ fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
     // page-table modes anyway, so repeating it inside `--verify-replay`
     // would only double the oracle's O(n²) bill.
     let stride = stride.max(16);
-    let forked = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        stride,
-        jobs,
-        SweepStrategy::SnapshotFork,
-    )?
-    .0;
-    let replayed = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        stride,
-        jobs,
-        SweepStrategy::ReplayFromZero,
-    )?
-    .0;
+    let forked =
+        run_nvm_write_sweep(PtMode::Rebuild, SEED, stride, run, SweepStrategy::SnapshotFork)?.0;
+    let replayed =
+        run_nvm_write_sweep(PtMode::Rebuild, SEED, stride, run, SweepStrategy::ReplayFromZero)?.0;
     assert_eq!(forked, replayed, "nvm-write: forked sweep diverged from replay-from-zero");
     println!(
         "{:<22} {} points  digest {:#018x}  ok",
         "nvm-write", forked.boundaries, forked.digest
     );
-    let forked = run_data_integrity_sweep_strategy(SEED, 6, jobs, SweepStrategy::SnapshotFork)?;
-    let replayed = run_data_integrity_sweep_strategy(SEED, 6, jobs, SweepStrategy::ReplayFromZero)?;
+    let forked = run_data_integrity_sweep_strategy(SEED, 6, run, SweepStrategy::SnapshotFork)?;
+    let replayed = run_data_integrity_sweep_strategy(SEED, 6, run, SweepStrategy::ReplayFromZero)?;
     assert_eq!(forked, replayed, "data-integrity: round-tripped sweep diverged from straight run");
     println!(
         "{:<22} {} points  digest {:#018x}  ok",
@@ -121,9 +109,10 @@ fn verify_all_families(jobs: usize, stride: u64) -> Result<()> {
 fn main() -> Result<()> {
     let harness = Harness::from_args();
     let stride = if harness.quick() { 64 } else { 1 };
-    let jobs = harness.jobs();
+    let run = harness.run();
+    let (jobs, serial_run) = (run.jobs, RunSettings { jobs: 1, ..run });
     if harness.verify_replay() {
-        verify_all_families(jobs, stride)?;
+        verify_all_families(run, stride)?;
     }
     println!("SWEEP: write-granular crash sweep, stride {stride}, serial vs {jobs} workers");
     rule(78);
@@ -138,31 +127,17 @@ fn main() -> Result<()> {
         [("rebuild", PtMode::Rebuild), ("persistent", PtMode::Persistent)].into_iter().enumerate()
     {
         let ((serial, telemetry), serial_ms) = timed(|| {
-            run_nvm_write_sweep_instrumented(mode, SEED, stride, 1, SweepStrategy::SnapshotFork)
+            run_nvm_write_sweep(mode, SEED, stride, serial_run, SweepStrategy::SnapshotFork)
         })?;
         let (parallel, parallel_ms) = timed(|| {
-            Ok(run_nvm_write_sweep_instrumented(
-                mode,
-                SEED,
-                stride,
-                jobs,
-                SweepStrategy::SnapshotFork,
-            )?
-            .0)
+            Ok(run_nvm_write_sweep(mode, SEED, stride, run, SweepStrategy::SnapshotFork)?.0)
         })?;
         assert_eq!(serial, parallel, "jobs=1 vs jobs={jobs} must agree bit-for-bit");
         // The replay-from-zero oracle on the same points: its wall clock is
         // what the fork tier is measured against, and its outcome must be
         // byte-identical.
         let (replayed, replay_ms) = timed(|| {
-            Ok(run_nvm_write_sweep_instrumented(
-                mode,
-                SEED,
-                stride,
-                jobs,
-                SweepStrategy::ReplayFromZero,
-            )?
-            .0)
+            Ok(run_nvm_write_sweep(mode, SEED, stride, run, SweepStrategy::ReplayFromZero)?.0)
         })?;
         assert_eq!(serial, replayed, "forked sweep diverged from replay-from-zero");
         let speedup = serial_ms / parallel_ms.max(1e-9);
@@ -194,17 +169,17 @@ fn main() -> Result<()> {
     // thousands of stuck cells, the two-entry ECP budget and scrubd armed.
     // Distinct JSON field names keep its (much smaller) point counts out
     // of the write-sweep golden ranges above.
-    let stuck = |jobs| {
+    let stuck = |run| {
         run_stuck_sweep_strategy(
             PtMode::Persistent,
             SEED,
             STUCK_CELLS,
-            jobs,
+            run,
             SweepStrategy::SnapshotFork,
         )
     };
-    let (serial, serial_ms) = timed(|| stuck(1))?;
-    let (parallel, parallel_ms) = timed(|| stuck(jobs))?;
+    let (serial, serial_ms) = timed(|| stuck(serial_run))?;
+    let (parallel, parallel_ms) = timed(|| stuck(run))?;
     assert_eq!(serial, parallel, "stuck sweep: jobs=1 vs jobs={jobs} must agree bit-for-bit");
     println!(
         "{:<10} | {:>6} | {:>9} | {:>9} | {:>9} | {:>9} | {:>7}",

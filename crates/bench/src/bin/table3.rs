@@ -5,7 +5,8 @@ use kindle_core::experiments::{run_table3, Table3Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { Table3Params::quick() } else { Table3Params::paper() };
+    let mut p = if harness.quick() { Table3Params::quick() } else { Table3Params::paper() };
+    p.run = harness.run();
     println!("TABLE III: alloc/free churn on a {} MiB base", p.base_mb);
     rule(58);
     println!("{:>15} | {:>16} | {:>12}", "Alloc/Free Size", "Persistent (ms)", "Rebuild (ms)");

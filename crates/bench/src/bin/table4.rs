@@ -5,7 +5,8 @@ use kindle_core::experiments::{run_table4, Table4Params};
 
 fn main() -> Result<()> {
     let harness = Harness::from_args();
-    let p = if harness.quick() { Table4Params::quick() } else { Table4Params::paper() };
+    let mut p = if harness.quick() { Table4Params::quick() } else { Table4Params::paper() };
+    p.run = harness.run();
     println!("TABLE IV: checkpoint-interval sweep ({} MiB base)", p.base_mb);
     rule(70);
     println!(

@@ -4,7 +4,7 @@
 
 pub use kindle_core::*;
 
-use kindle_core::sim::{RunContext, RunContextGuard};
+pub use kindle_core::sim::RunSettings;
 use kindle_core::types::sanitize::{self, Installed, InvariantChecker, ViolationLog};
 
 /// Flag summary printed when an unknown or malformed argument is seen.
@@ -64,18 +64,17 @@ pub const STUCK_CORRECTION_ENTRIES: u32 = 2;
 ///   listing the registered backends. The resolved name is echoed in
 ///   every `--json` envelope.
 ///
-/// `--faults`, `--backend` and `--jobs` form the
-/// [`RunContext`] the harness installs for its lifetime; `par_map`
-/// carries it onto every worker.
+/// `--faults`, `--backend` and `--jobs` form the [`RunSettings`] that
+/// [`Harness::run`] returns; a binary hands them to every grid, sweep and
+/// machine it runs.
 ///
 /// Unknown `--*` flags are rejected: [`Harness::from_args`] prints the
 /// usage line and exits with status 2 rather than silently running the
 /// paper-scale default (the classic typo was `--quik`).
 pub struct Harness {
-    _ctx: RunContextGuard,
     _guard: Option<Installed>,
     log: Option<ViolationLog>,
-    jobs: usize,
+    run: RunSettings,
     quick: bool,
     stuck: Option<usize>,
     patrol: Option<Cycles>,
@@ -84,7 +83,6 @@ pub struct Harness {
     plot_path: Option<String>,
     timing_path: Option<String>,
     verify_replay: bool,
-    backend: mem::Backend,
     started: std::time::Instant,
 }
 
@@ -218,7 +216,7 @@ impl Harness {
         });
         // `backend` stays `None` unless the flag was passed: the unset
         // default must stay byte-identical to the pre-backend harness.
-        let ctx = RunContext { faults, backend, jobs }.install();
+        let run = RunSettings { faults, backend, jobs };
         let (guard, log) = if sanitize_requested {
             let checker = InvariantChecker::new();
             let log = checker.log();
@@ -227,10 +225,9 @@ impl Harness {
             (None, None)
         };
         Ok(Harness {
-            _ctx: ctx,
             _guard: guard,
             log,
-            jobs,
+            run,
             quick,
             stuck,
             patrol,
@@ -239,15 +236,15 @@ impl Harness {
             plot_path,
             timing_path,
             verify_replay,
-            backend: backend.unwrap_or_default(),
             started: std::time::Instant::now(),
         })
     }
 
-    /// The resolved fork-join worker count.
+    /// The run settings from `--faults`, `--backend` and `--jobs`, with
+    /// the worker count resolved.
     #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
+    pub fn run(&self) -> RunSettings {
+        self.run
     }
 
     /// True if `--quick` was passed (CI-scale parameters instead of the
@@ -292,7 +289,7 @@ impl Harness {
     /// The resolved far-tier backend (`--backend <name>`, default PCM).
     #[must_use]
     pub fn backend(&self) -> mem::Backend {
-        self.backend
+        self.run.backend.unwrap_or_default()
     }
 
     /// Writes rows as CSV when `--csv <path>` was passed.
@@ -321,9 +318,9 @@ impl Harness {
         let elapsed_ms = self.started.elapsed().as_millis();
         let data = format!(
             "{{\n\"jobs\": {},\n\"elapsed_ms\": {},\n\"backend\": \"{}\",\n\"rows\": {}\n}}\n",
-            self.jobs,
+            self.run.jobs,
             elapsed_ms,
-            self.backend.name(),
+            self.backend().name(),
             body.trim_end()
         );
         match std::fs::write(path, data) {
@@ -333,7 +330,7 @@ impl Harness {
     }
 
     /// Tears the harness down: reports sanitizer violations, then (on
-    /// drop) restores the run context that was current before it.
+    /// drop) uninstalls the checker.
     ///
     /// # Errors
     ///
@@ -396,34 +393,27 @@ mod tests {
     }
 
     #[test]
-    fn harness_faults_seed_arms_machines_until_finish() {
+    fn harness_faults_seed_reaches_the_run_settings() {
         let h = Harness::from_arg_list(&args(&["bin", "--faults", "42"]));
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert_eq!(m.config().mem.faults.as_ref().map(|f| f.seed), Some(42));
+        let cfg = h.run().apply(MachineConfig::small());
+        assert_eq!(cfg.mem.faults.map(|f| f.seed), Some(42));
         h.finish().unwrap();
-        let clean = Machine::new(MachineConfig::small()).unwrap();
-        assert!(clean.config().mem.faults.is_none(), "finish must clear the ambient seed");
+        let h = Harness::from_arg_list(&args(&["bin"]));
+        assert!(h.run().faults.is_none());
+        h.finish().unwrap();
     }
 
     #[test]
-    fn harness_backend_arms_machines_until_finish() {
+    fn harness_backend_reaches_the_run_settings() {
         let h = Harness::from_arg_list(&args(&["bin", "--backend", "numa"]));
         assert_eq!(h.backend(), mem::Backend::Numa);
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert_eq!(
-            m.config().mem.backend,
-            Some(mem::Backend::Numa),
-            "flag must reach every machine built on this thread"
-        );
+        assert_eq!(h.run().apply(MachineConfig::small()).mem.backend, Some(mem::Backend::Numa));
         h.finish().unwrap();
-        let clean = Machine::new(MachineConfig::small()).unwrap();
-        assert!(clean.config().mem.backend.is_none(), "finish must clear the ambient choice");
 
-        // Without the flag: resolved default is pcm, nothing published.
+        // Without the flag: resolved default is pcm, the settings stay unset.
         let h = Harness::from_arg_list(&args(&["bin"]));
         assert_eq!(h.backend(), mem::Backend::Pcm);
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert!(m.config().mem.backend.is_none(), "unset default must not publish ambient state");
+        assert!(h.run().backend.is_none(), "the unset default must leave configs untouched");
         h.finish().unwrap();
     }
 
@@ -493,9 +483,9 @@ mod tests {
     fn harness_patrol_interval_is_an_accessor() {
         let h = Harness::from_arg_list(&args(&["bin", "--patrol", "250"]));
         assert_eq!(h.patrol_interval(), Some(Cycles::from_micros(250)));
-        // Accessor only: no ambient state, machines stay patrol-free
-        // unless the binary arms them.
-        let m = Machine::new(MachineConfig::small()).unwrap();
+        // Accessor only: machines stay patrol-free unless the binary arms
+        // them.
+        let m = Machine::new(h.run().apply(MachineConfig::small())).unwrap();
         assert!(m.patrol.is_none());
         h.finish().unwrap();
 
@@ -508,28 +498,27 @@ mod tests {
     fn harness_stuck_folds_into_the_fault_model() {
         let h = Harness::from_arg_list(&args(&["bin", "--faults", "9", "--stuck", "512"]));
         assert_eq!(h.stuck(), Some(512));
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        let f = m.config().mem.faults.clone().unwrap();
+        let f = h.run().faults.unwrap();
         assert_eq!(f.stuck_cells, 512);
         assert_eq!(f.correction_entries, STUCK_CORRECTION_ENTRIES);
         h.finish().unwrap();
 
-        // Standalone --stuck is an accessor only: no ambient model armed.
+        // Standalone --stuck is an accessor only: no fault model armed.
         let h = Harness::from_arg_list(&args(&["bin", "--stuck", "16", "--plot", "p.svg"]));
         assert_eq!(h.stuck(), Some(16));
         assert_eq!(h.plot_path(), Some("p.svg"));
-        let m = Machine::new(MachineConfig::small()).unwrap();
-        assert!(m.config().mem.faults.is_none());
+        assert!(h.run().faults.is_none());
         h.finish().unwrap();
     }
 
     #[test]
-    fn harness_publishes_and_resets_jobs() {
+    fn harness_resolves_jobs() {
         let h = Harness::from_arg_list(&args(&["bin", "--jobs", "3"]));
-        assert_eq!(h.jobs(), 3);
-        assert_eq!(RunContext::current().jobs, 3, "drivers must see the published count");
+        assert_eq!(h.run().jobs, 3);
         h.finish().unwrap();
-        assert_eq!(RunContext::current(), RunContext::default(), "finish must restore the context");
+        let h = Harness::from_arg_list(&args(&["bin"]));
+        assert!(h.run().jobs >= 1, "the default worker count is resolved");
+        h.finish().unwrap();
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //@path crates/mem/src/faults_doc.rs
 /// The old set_thread_media_fault_seed channel is gone — history only.
-/// So is every thread_local! outside the run context and the sanitizer.
+/// So is every thread_local! outside the sanitizer.
 pub fn note() -> &'static str {
-    "set_thread_media_fault_seed was replaced by RunContext::faults"
+    "set_thread_media_fault_seed was replaced by RunSettings::faults"
 }
 
-pub fn armed() -> bool {
-    RunContext::current().faults.is_some()
+pub fn armed(run: RunSettings) -> bool {
+    run.faults.is_some()
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//@path crates/sim/src/config.rs
+//@path crates/types/src/sanitize.rs
 thread_local! {
-    static CONTEXT: Cell<RunContext> = const { Cell::new(RunContext::DEFAULT) };
+    static CURRENT_TID: Cell<ThreadId> = const { Cell::new(ThreadId::MAIN) };
 }

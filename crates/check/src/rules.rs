@@ -9,7 +9,7 @@
 //! | KD004 | no `.unwrap()`/`.expect(` in non-test `crates/os` / `crates/persist` code |
 //! | KD006 | no raw `+`/`-` arithmetic inside `Cycles::new(..)` outside `crates/types` |
 //! | KD007 | no host threads (`std::thread`, `thread::spawn/scope`) outside `kindle_core::parallel` |
-//! | KD008 | one ambient channel: no `thread_local` outside the run context (`crates/sim/src/config.rs`) and the sanitizer (`crates/types/src/sanitize.rs`); the removed seed-only fault channel stays removed |
+//! | KD008 | one ambient channel: no `thread_local` outside the sanitizer (`crates/types/src/sanitize.rs`); run settings travel as an explicit `RunSettings`, and the removed seed-only fault channel stays removed |
 //! | KD009 | NVM-mutating primitives in `mem`/`os`/`persist` emit their sanitize event on every path, or sit inside a checkpoint bracket |
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
 //! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
@@ -55,12 +55,11 @@ pub fn is_nvm_discipline_crate(krate: &str) -> bool {
 /// simulation state or reorder results.
 const THREAD_HOME: &str = "crates/core/src/parallel.rs";
 
-/// The files allowed to declare host-thread-locals (KD008): the run
-/// context, which `par_map` carries onto every worker, and the sanitizer
-/// installation, which `par_map_cells` deliberately re-creates per cell.
-/// Ambient state anywhere else would have to be copied onto workers by
-/// hand — the drift this rule exists to prevent.
-const THREAD_LOCAL_HOMES: &[&str] = &["crates/types/src/sanitize.rs", "crates/sim/src/config.rs"];
+/// The one file allowed to declare host-thread-locals (KD008): the
+/// sanitizer installation, which `par_map_cells` deliberately re-creates
+/// per cell. Ambient state anywhere else would have to be copied onto
+/// workers by hand — the drift this rule exists to prevent.
+const THREAD_LOCAL_HOME: &str = "crates/types/src/sanitize.rs";
 
 /// `NvmConfig` latency/endurance fields whose direct access is banned
 /// outside the backend modules (KD013). Every other layer reads timing
@@ -223,7 +222,7 @@ fn flat_rules(
         }
         if t.is_ident("set_thread_media_fault_seed")
             || t.is_ident("thread_media_fault_seed")
-            || (t.is_ident("thread_local") && !THREAD_LOCAL_HOMES.contains(&rel_path))
+            || (t.is_ident("thread_local") && rel_path != THREAD_LOCAL_HOME)
         {
             hit("KD008", t.line);
         }
@@ -340,10 +339,10 @@ fn message_of(rule: &str) -> &'static str {
              through par_map so results stay independent of worker count"
         }
         "KD008" => {
-            "second ambient channel; run-wide settings live in RunContext \
-             (crates/sim/src/config.rs), which par_map carries to every \
-             worker — add a field there (the seed-only fault channel is \
-             RunContext::faults, a full MediaFaultConfig)"
+            "second ambient channel; pass run-wide settings explicitly in \
+             kindle_sim::RunSettings (crates/sim/src/config.rs) — add a \
+             field there (the seed-only fault channel is \
+             RunSettings::faults, a full MediaFaultConfig)"
         }
         "KD011" => {
             "todo!/unimplemented!/unreachable! in simulation code; model the \
@@ -851,7 +850,7 @@ mod tests {
         let d = check_source(
             "crates/bench/src/x.rs",
             Some("bench"),
-            "let _ctx = RunContext { faults: None, ..RunContext::current() }.install();\n",
+            "let run = RunSettings { faults: None, ..harness.run() };\n",
         );
         assert!(d.is_empty(), "{d:?}");
         let d = check_source(
@@ -863,18 +862,16 @@ mod tests {
     }
 
     #[test]
-    fn kd008_keeps_thread_locals_in_their_two_homes() {
+    fn kd008_keeps_thread_locals_in_their_one_home() {
         let decl = "thread_local! { static N: Cell<usize> = const { Cell::new(1) }; }\n";
-        for (path, krate) in
-            [("crates/core/src/parallel.rs", "core"), ("crates/bench/src/x.rs", "bench")]
-        {
+        for (path, krate) in [
+            ("crates/core/src/parallel.rs", "core"),
+            ("crates/bench/src/x.rs", "bench"),
+            ("crates/sim/src/config.rs", "sim"),
+        ] {
             assert_eq!(rules_of(&check_source(path, Some(krate), decl)), ["KD008"], "{path}");
         }
-        for (path, krate) in
-            [("crates/sim/src/config.rs", "sim"), ("crates/types/src/sanitize.rs", "types")]
-        {
-            assert!(check_source(path, Some(krate), decl).is_empty(), "{path}");
-        }
+        assert!(check_source("crates/types/src/sanitize.rs", Some("types"), decl).is_empty());
         // Test code may keep its own thread-locals.
         let src = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{ {decl} }}\n");
         assert!(check_source("crates/os/src/x.rs", Some("os"), &src).is_empty());

@@ -2,14 +2,13 @@
 //! every requested far-tier backend (the `--backend` axis as a grid).
 //!
 //! Each backend runs the full Fig. 4a size × scheme grid with the
-//! backend installed in the run context — exactly what `--backend <name>`
+//! backend set in its run settings — exactly what `--backend <name>`
 //! does — so the numbers here are the numbers any fig/table binary would
-//! produce under that flag. The caller's own context is restored
-//! afterwards.
+//! produce under that flag.
 
 use super::persistence::{run_fig4a, Fig4aParams, Fig4aRow};
 use kindle_mem::Backend;
-use kindle_sim::RunContext;
+use kindle_sim::RunSettings;
 use kindle_types::Result;
 
 /// Parameters for the backends × schemes grid.
@@ -42,9 +41,8 @@ impl BackendGridParams {
     }
 }
 
-/// Runs the Fig. 4a grid once per backend, installing each backend in
-/// the run context for the duration of its grid (workers inherit it
-/// through `par_map`) and restoring the caller's context after.
+/// Runs the Fig. 4a grid once per backend, each with that backend in
+/// place of `p.fig4a.run.backend`.
 ///
 /// # Errors
 ///
@@ -52,8 +50,8 @@ impl BackendGridParams {
 pub fn run_backend_grid(p: &BackendGridParams) -> Result<Vec<(Backend, Vec<Fig4aRow>)>> {
     let mut out = Vec::with_capacity(p.backends.len());
     for &b in &p.backends {
-        let _ctx = RunContext { backend: Some(b), ..RunContext::current() }.install();
-        out.push((b, run_fig4a(&p.fig4a)?));
+        let run = RunSettings { backend: Some(b), ..p.fig4a.run };
+        out.push((b, run_fig4a(&Fig4aParams { run, ..p.fig4a.clone() })?));
     }
     Ok(out)
 }
@@ -85,8 +83,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(RunContext::current(), RunContext::default(), "grid must restore the context");
-
         // Timing sanity: DRAM-class far tiers write far faster than PCM's
         // 500 ns cells, so their persistent runs must come in under PCM's.
         let pers = |i: usize| grid[i].1[0].persistent_ms;

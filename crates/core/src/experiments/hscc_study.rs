@@ -3,7 +3,7 @@
 //! same sweep.
 
 use kindle_hscc::HsccConfig;
-use kindle_sim::{MachineConfig, ReplayOptions};
+use kindle_sim::{MachineConfig, ReplayOptions, RunSettings};
 use kindle_trace::WorkloadKind;
 use kindle_types::Result;
 
@@ -23,6 +23,8 @@ pub struct Fig6Params {
     pub pool_pages: usize,
     /// Benchmarks to run.
     pub workloads: Vec<WorkloadKind>,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Fig6Params {
@@ -34,6 +36,7 @@ impl Fig6Params {
             thresholds: vec![5, 25, 50],
             pool_pages: 512,
             workloads: WorkloadKind::ALL.to_vec(),
+            run: RunSettings::default(),
         }
     }
 
@@ -79,8 +82,8 @@ pub struct Fig6Row {
 /// Propagates machine and replay failures.
 pub fn run_fig6(p: &Fig6Params) -> Result<Vec<Fig6Row>> {
     // Prepared programs are plain data; (workload, threshold) cells share
-    // them by reference and run on the run context's worker count. Row
-    // order is the serial nesting order.
+    // them by reference and run on `p.run.jobs` workers. Row order is the
+    // serial nesting order.
     let prepared: Vec<Kindle> =
         p.workloads.iter().map(|&wl| Kindle::prepare_streaming(wl, p.ops, p.seed)).collect();
     let mut cells = Vec::new();
@@ -89,7 +92,7 @@ pub fn run_fig6(p: &Fig6Params) -> Result<Vec<Fig6Row>> {
             cells.push((i, wl, threshold));
         }
     }
-    parallel::par_map_cells(cells, |(i, wl, threshold)| {
+    parallel::par_map_cells(p.run.jobs, cells, |(i, wl, threshold)| {
         let kindle = &prepared[i];
         let hscc = HsccConfig {
             fetch_threshold: threshold,
@@ -97,10 +100,10 @@ pub fn run_fig6(p: &Fig6Params) -> Result<Vec<Fig6Row>> {
             ..Default::default()
         };
         // Baseline: hardware migration activities only.
-        let hw_cfg = MachineConfig::table_i().with_hscc(hscc.clone(), false);
+        let hw_cfg = p.run.apply(MachineConfig::table_i().with_hscc(hscc.clone(), false));
         let (hw_run, _) = kindle.simulate(hw_cfg, ReplayOptions::default())?;
         // Full run: hardware + OS migration activities.
-        let os_cfg = MachineConfig::table_i().with_hscc(hscc, true);
+        let os_cfg = p.run.apply(MachineConfig::table_i().with_hscc(hscc, true));
         let (os_run, report) = kindle.simulate(os_cfg, ReplayOptions::default())?;
         let stats = report.hscc.expect("hscc engine enabled");
         let hw_only_ms = hw_run.cycles.as_millis_f64();

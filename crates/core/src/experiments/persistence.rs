@@ -6,7 +6,7 @@
 
 use crate::parallel;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig};
+use kindle_sim::{Machine, MachineConfig, RunSettings};
 use kindle_types::{AccessKind, Cycles, MapFlags, Prot, Result, VirtAddr, PAGE_SIZE};
 
 const MIB: u64 = 1 << 20;
@@ -17,6 +17,7 @@ fn persistence_machine(
     interval: Cycles,
     list_op_instr: u64,
     mru_page_cache: bool,
+    run: RunSettings,
 ) -> Result<(Machine, u32)> {
     let mut cfg = MachineConfig::table_i().with_pt_mode(mode).with_checkpointing(interval);
     cfg.costs.mapping_list_op = list_op_instr;
@@ -25,7 +26,7 @@ fn persistence_machine(
     // cost (gemOS hands out pre-zeroed frames); keep the comparison on the
     // page-table maintenance work itself.
     cfg.costs.zero_new_frames = false;
-    let mut m = Machine::new(cfg)?;
+    let mut m = Machine::new(run.apply(cfg))?;
     let pid = m.spawn_process()?;
     Ok((m, pid))
 }
@@ -65,6 +66,8 @@ pub struct Fig4aParams {
     /// Memory-controller MRU page cache (on by default; off exists so the
     /// equivalence test can prove the fast path changes no row).
     pub mru_page_cache: bool,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Fig4aParams {
@@ -76,6 +79,7 @@ impl Fig4aParams {
             list_op_instr: 2600,
             read_rounds: 6,
             mru_page_cache: true,
+            run: RunSettings::default(),
         }
     }
 
@@ -87,6 +91,7 @@ impl Fig4aParams {
             list_op_instr: 2600,
             read_rounds: 2,
             mru_page_cache: true,
+            run: RunSettings::default(),
         }
     }
 }
@@ -110,7 +115,8 @@ impl Fig4aRow {
 }
 
 fn seq_alloc_access(mode: PtMode, size: u64, p: &Fig4aParams) -> Result<f64> {
-    let (mut m, pid) = persistence_machine(mode, p.interval, p.list_op_instr, p.mru_page_cache)?;
+    let (mut m, pid) =
+        persistence_machine(mode, p.interval, p.list_op_instr, p.mru_page_cache, p.run)?;
     let t0 = m.now();
     let va = m.mmap(pid, size, Prot::RW, MapFlags::NVM)?;
     touch_pages(&mut m, pid, va, size)?;
@@ -123,14 +129,14 @@ fn seq_alloc_access(mode: PtMode, size: u64, p: &Fig4aParams) -> Result<f64> {
 }
 
 /// Runs Fig. 4a: sequential allocation and access of increasing sizes.
-/// Grid cells (one per size) run on the [`kindle_sim::RunContext`]
-/// worker count; row order is always size order.
+/// Grid cells (one per size) run on `p.run.jobs` workers; row order is
+/// always size order.
 ///
 /// # Errors
 ///
 /// Propagates machine failures (e.g. NVM exhaustion on oversized params).
 pub fn run_fig4a(p: &Fig4aParams) -> Result<Vec<Fig4aRow>> {
-    parallel::par_map_cells(p.sizes_mb.clone(), |size_mb| {
+    parallel::par_map_cells(p.run.jobs, p.sizes_mb.clone(), |size_mb| {
         let size = size_mb * MIB;
         Ok(Fig4aRow {
             size_mb,
@@ -155,6 +161,8 @@ pub struct Fig4bParams {
     pub interval: Cycles,
     /// Instruction cost per mapping-list entry check.
     pub list_op_instr: u64,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Fig4bParams {
@@ -165,6 +173,7 @@ impl Fig4bParams {
             access_ops: 20_000_000,
             interval: Cycles::from_millis(10),
             list_op_instr: 2600,
+            run: RunSettings::default(),
         }
     }
 
@@ -188,7 +197,7 @@ pub struct Fig4bRow {
 }
 
 fn stride_bench(mode: PtMode, stride: u64, p: &Fig4bParams) -> Result<f64> {
-    let (mut m, pid) = persistence_machine(mode, p.interval, p.list_op_instr, true)?;
+    let (mut m, pid) = persistence_machine(mode, p.interval, p.list_op_instr, true, p.run)?;
     let base = VirtAddr::new(0x10_0000_0000);
     let t0 = m.now();
     // Allocation phase: the stride decides how many page-table levels the
@@ -217,7 +226,7 @@ fn stride_bench(mode: PtMode, stride: u64, p: &Fig4bParams) -> Result<f64> {
 /// Propagates machine failures.
 pub fn run_fig4b(p: &Fig4bParams) -> Result<Vec<Fig4bRow>> {
     let strides: Vec<(&str, u64)> = vec![("1GB", 1 << 30), ("2MB", 2 << 20), ("4KB", 4096)];
-    parallel::par_map_cells(strides, |(label, stride)| {
+    parallel::par_map_cells(p.run.jobs, strides, |(label, stride)| {
         Ok(Fig4bRow {
             stride: label.to_string(),
             stride_bytes: stride,
@@ -242,6 +251,8 @@ pub struct Table3Params {
     pub interval: Cycles,
     /// Instruction cost per mapping-list entry check.
     pub list_op_instr: u64,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Table3Params {
@@ -252,6 +263,7 @@ impl Table3Params {
             churn_mb: vec![64, 128, 256],
             interval: Cycles::from_millis(10),
             list_op_instr: 2600,
+            run: RunSettings::default(),
         }
     }
 
@@ -262,6 +274,7 @@ impl Table3Params {
             churn_mb: vec![8, 16],
             interval: Cycles::from_millis(1),
             list_op_instr: 2600,
+            run: RunSettings::default(),
         }
     }
 }
@@ -285,8 +298,9 @@ fn churn_bench(
     interval: Cycles,
     list_op_instr: u64,
     access_rounds: u64,
+    run: RunSettings,
 ) -> Result<f64> {
-    let (mut m, pid) = persistence_machine(mode, interval, list_op_instr, true)?;
+    let (mut m, pid) = persistence_machine(mode, interval, list_op_instr, true, run)?;
     let t0 = m.now();
     let va = m.mmap(pid, base, Prot::RW, MapFlags::NVM)?;
     touch_pages(&mut m, pid, va, base)?;
@@ -309,25 +323,13 @@ fn churn_bench(
 ///
 /// Propagates machine failures.
 pub fn run_table3(p: &Table3Params) -> Result<Vec<Table3Row>> {
-    parallel::par_map_cells(p.churn_mb.clone(), |churn_mb| {
+    parallel::par_map_cells(p.run.jobs, p.churn_mb.clone(), |churn_mb| {
+        let (base, churn) = (p.base_mb * MIB, churn_mb * MIB);
+        let bench = |mode| churn_bench(mode, base, churn, p.interval, p.list_op_instr, 0, p.run);
         Ok(Table3Row {
             churn_mb,
-            persistent_ms: churn_bench(
-                PtMode::Persistent,
-                p.base_mb * MIB,
-                churn_mb * MIB,
-                p.interval,
-                p.list_op_instr,
-                0,
-            )?,
-            rebuild_ms: churn_bench(
-                PtMode::Rebuild,
-                p.base_mb * MIB,
-                churn_mb * MIB,
-                p.interval,
-                p.list_op_instr,
-                0,
-            )?,
+            persistent_ms: bench(PtMode::Persistent)?,
+            rebuild_ms: bench(PtMode::Rebuild)?,
         })
     })
 }
@@ -350,6 +352,8 @@ pub struct Table4Params {
     pub access_rounds: u64,
     /// Instruction cost per mapping-list entry check.
     pub list_op_instr: u64,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Table4Params {
@@ -365,6 +369,7 @@ impl Table4Params {
             ],
             access_rounds: 2,
             list_op_instr: 2600,
+            run: RunSettings::default(),
         }
     }
 
@@ -376,6 +381,7 @@ impl Table4Params {
             intervals: vec![Cycles::from_millis(1), Cycles::from_millis(10)],
             access_rounds: 1,
             list_op_instr: 2600,
+            run: RunSettings::default(),
         }
     }
 }
@@ -405,26 +411,14 @@ pub fn run_table4(p: &Table4Params) -> Result<Vec<Table4Row>> {
             cells.push((churn_mb, interval));
         }
     }
-    parallel::par_map_cells(cells, |(churn_mb, interval)| {
+    parallel::par_map_cells(p.run.jobs, cells, |(churn_mb, interval)| {
+        let (base, churn, rounds) = (p.base_mb * MIB, churn_mb * MIB, p.access_rounds);
+        let bench = |mode| churn_bench(mode, base, churn, interval, p.list_op_instr, rounds, p.run);
         Ok(Table4Row {
             churn_mb,
             interval_ms: interval.as_millis_f64(),
-            persistent_ms: churn_bench(
-                PtMode::Persistent,
-                p.base_mb * MIB,
-                churn_mb * MIB,
-                interval,
-                p.list_op_instr,
-                p.access_rounds,
-            )?,
-            rebuild_ms: churn_bench(
-                PtMode::Rebuild,
-                p.base_mb * MIB,
-                churn_mb * MIB,
-                interval,
-                p.list_op_instr,
-                p.access_rounds,
-            )?,
+            persistent_ms: bench(PtMode::Persistent)?,
+            rebuild_ms: bench(PtMode::Rebuild)?,
         })
     })
 }
@@ -432,7 +426,6 @@ pub fn run_table4(p: &Table4Params) -> Result<Vec<Table4Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kindle_sim::RunContext;
 
     #[test]
     fn fig4a_quick_shapes() {
@@ -467,13 +460,10 @@ mod tests {
         // must be byte-identical to the unset default path, serial and
         // parallel alike.
         let direct = run_fig4a(&Fig4aParams::quick()).unwrap();
-        let pcm = RunContext { backend: Some(kindle_mem::Backend::Pcm), ..RunContext::default() };
-        let guard = pcm.install();
-        let explicit = run_fig4a(&Fig4aParams::quick());
-        drop(guard);
-        let guard = RunContext { jobs: 4, ..pcm }.install();
-        let explicit_par = run_fig4a(&Fig4aParams::quick());
-        drop(guard);
+        let pcm = RunSettings { backend: Some(kindle_mem::Backend::Pcm), ..RunSettings::default() };
+        let explicit = run_fig4a(&Fig4aParams { run: pcm, ..Fig4aParams::quick() });
+        let explicit_par =
+            run_fig4a(&Fig4aParams { run: RunSettings { jobs: 4, ..pcm }, ..Fig4aParams::quick() });
         assert_eq!(direct, explicit.unwrap(), "backend=pcm changed a Fig. 4a row");
         assert_eq!(direct, explicit_par.unwrap(), "backend=pcm diverged under jobs=4");
     }
@@ -481,9 +471,8 @@ mod tests {
     #[test]
     fn fig4a_rows_are_jobs_invariant() {
         let serial = run_fig4a(&Fig4aParams::quick()).unwrap();
-        let guard = RunContext { jobs: 4, ..RunContext::default() }.install();
-        let parallel_rows = run_fig4a(&Fig4aParams::quick()).unwrap();
-        drop(guard);
+        let run = RunSettings { jobs: 4, ..RunSettings::default() };
+        let parallel_rows = run_fig4a(&Fig4aParams { run, ..Fig4aParams::quick() }).unwrap();
         assert_eq!(serial, parallel_rows, "jobs=1 vs jobs=4 must agree bit-for-bit");
     }
 

@@ -1,7 +1,7 @@
 //! SSP study: Fig. 5 plus the consolidation-interval ablation the paper
 //! calls out as an extension Kindle enables.
 
-use kindle_sim::{MachineConfig, ReplayOptions};
+use kindle_sim::{MachineConfig, ReplayOptions, RunSettings};
 use kindle_ssp::SspConfig;
 use kindle_trace::WorkloadKind;
 use kindle_types::{Cycles, Result};
@@ -22,6 +22,8 @@ pub struct Fig5Params {
     pub consolidation_ms: u64,
     /// Benchmarks to run.
     pub workloads: Vec<WorkloadKind>,
+    /// Fault model, backend and worker count.
+    pub run: RunSettings,
 }
 
 impl Fig5Params {
@@ -33,6 +35,7 @@ impl Fig5Params {
             intervals_ms: vec![1, 5, 10],
             consolidation_ms: 1,
             workloads: WorkloadKind::ALL.to_vec(),
+            run: RunSettings::default(),
         }
     }
 
@@ -70,8 +73,9 @@ pub fn run_fig5(p: &Fig5Params) -> Result<Vec<Fig5Row>> {
     let prepared: Vec<Kindle> =
         p.workloads.iter().map(|&wl| Kindle::prepare_streaming(wl, p.ops, p.seed)).collect();
     // Baselines (no memory consistency), one cell per workload.
-    let baselines = parallel::par_map_cells((0..prepared.len()).collect(), |i| {
-        let (base, _) = prepared[i].simulate(MachineConfig::table_i(), ReplayOptions::default())?;
+    let baselines = parallel::par_map_cells(p.run.jobs, (0..prepared.len()).collect(), |i| {
+        let cfg = p.run.apply(MachineConfig::table_i());
+        let (base, _) = prepared[i].simulate(cfg, ReplayOptions::default())?;
         Ok(base.cycles.as_millis_f64())
     })?;
     // SSP runs, one cell per (workload, interval); row order is the
@@ -82,11 +86,11 @@ pub fn run_fig5(p: &Fig5Params) -> Result<Vec<Fig5Row>> {
             cells.push((i, wl, interval_ms));
         }
     }
-    parallel::par_map_cells(cells, |(i, wl, interval_ms)| {
-        let cfg = MachineConfig::table_i().with_ssp(SspConfig {
+    parallel::par_map_cells(p.run.jobs, cells, |(i, wl, interval_ms)| {
+        let cfg = p.run.apply(MachineConfig::table_i().with_ssp(SspConfig {
             consistency_interval: Cycles::from_millis(interval_ms),
             consolidation_interval: Cycles::from_millis(p.consolidation_ms),
-        });
+        }));
         let (run, _) = prepared[i].simulate(cfg, ReplayOptions { fase: true, max_ops: None })?;
         let ssp_ms = run.cycles.as_millis_f64();
         let baseline_ms = baselines[i];
@@ -116,7 +120,7 @@ pub struct ConsolidationRow {
 
 /// The study the paper says the original SSP work left unexplored: the
 /// influence of the consolidation-thread frequency, at a fixed 5 ms
-/// consistency interval.
+/// consistency interval, on the machines and workers `run` selects.
 ///
 /// # Errors
 ///
@@ -126,15 +130,17 @@ pub fn run_consolidation_sweep(
     ops: u64,
     seed: u64,
     consolidation_ms: &[u64],
+    run: RunSettings,
 ) -> Result<Vec<ConsolidationRow>> {
     let kindle = Kindle::prepare_streaming(workload, ops, seed);
-    let (base, _) = kindle.simulate(MachineConfig::table_i(), ReplayOptions::default())?;
+    let (base, _) =
+        kindle.simulate(run.apply(MachineConfig::table_i()), ReplayOptions::default())?;
     let baseline = base.cycles.as_millis_f64();
-    parallel::par_map_cells(consolidation_ms.to_vec(), |ms| {
-        let cfg = MachineConfig::table_i().with_ssp(SspConfig {
+    parallel::par_map_cells(run.jobs, consolidation_ms.to_vec(), |ms| {
+        let cfg = run.apply(MachineConfig::table_i().with_ssp(SspConfig {
             consistency_interval: Cycles::from_millis(5),
             consolidation_interval: Cycles::from_millis(ms),
-        });
+        }));
         let (run, report) = kindle.simulate(cfg, ReplayOptions { fase: true, max_ops: None })?;
         Ok(ConsolidationRow {
             benchmark: workload.spec().name.to_string(),

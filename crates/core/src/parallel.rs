@@ -19,17 +19,14 @@
 //!   calling thread, making "serial" a special case of the same code path
 //!   rather than a second implementation that could drift.
 //!
-//! The run's settings — the [`RunContext`] (media-fault model, far-tier
-//! backend, worker count) — are **host-thread-local**, and `par_map` is
-//! the one place that carries them across threads: every item run on a
-//! worker runs under the caller's context with `jobs: 1`, so nested grids
-//! stay serial and a new setting reaches every worker without touching a
-//! call site. The serial path runs on the caller's
-//! thread and so needs no copy.
+//! `par_map` carries no ambient state across threads. The run's settings
+//! (`kindle_sim::RunSettings`: media-fault model, far-tier backend,
+//! worker count) travel as explicit arguments; a grid that runs inside a
+//! worker is handed `jobs: 1`, so nested grids stay serial.
 //!
-//! The cross-layer sanitizer (`kindle_types::sanitize`) is host-thread-local
-//! too, but a checker must not be shared: [`par_map_cells`] gives every
-//! cell its own fresh `InvariantChecker` when the caller has one
+//! The cross-layer sanitizer (`kindle_types::sanitize`) is the one
+//! host-thread-local, and a checker must not be shared: [`par_map_cells`]
+//! gives every cell its own fresh `InvariantChecker` when the caller has one
 //! installed, on whichever thread the cell runs — the serial and parallel
 //! paths install identical per-cell checkers, so violations are caught
 //! (and reported identically) at any job count.
@@ -42,7 +39,6 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use kindle_sim::RunContext;
 use kindle_types::sanitize::{self, InvariantChecker};
 use kindle_types::{KindleError, Result};
 
@@ -63,8 +59,6 @@ pub fn default_jobs() -> usize {
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
 /// the results **in input order**. With `jobs <= 1` (or fewer than two
 /// items) this is exactly the serial `map` loop on the calling thread.
-/// Each worker runs its items under the caller's [`RunContext`] with
-/// `jobs: 1`.
 ///
 /// Workers pull items from a shared queue (so uneven cells load-balance)
 /// and write each result into its input slot; ordering is positional, not
@@ -91,18 +85,14 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let slots = Mutex::new(slots);
-    let ctx = RunContext { jobs: 1, ..RunContext::current() };
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs.min(n))
             .map(|_| {
-                scope.spawn(|| {
-                    let _ctx = ctx.install();
-                    loop {
-                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                        let Some((idx, item)) = next else { break };
-                        let out = f(item);
-                        slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
-                    }
+                scope.spawn(|| loop {
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((idx, item)) = next else { break };
+                    let out = f(item);
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(out);
                 })
             })
             .collect();
@@ -129,15 +119,15 @@ where
 
 /// [`par_map`] specialized for experiment-grid cells: if the caller has a
 /// sanitizer installed (bench `--sanitize`), each fallible cell runs under
-/// its own fresh [`InvariantChecker`] whose violations fail the cell. Uses
-/// the [`RunContext`] worker count; results come back in input order, and
-/// the first cell error (in input order) aborts the map.
+/// its own fresh [`InvariantChecker`] whose violations fail the cell. Runs
+/// on up to `jobs` workers; results come back in input order, and the
+/// first cell error (in input order) aborts the map.
 ///
 /// # Errors
 ///
 /// Propagates the cell's own error, or [`KindleError::Corrupted`] when a
 /// cell's checker recorded violations.
-pub fn par_map_cells<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>>
+pub fn par_map_cells<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Result<Vec<R>>
 where
     T: Send,
     R: Send,
@@ -164,7 +154,7 @@ where
             Err(KindleError::Corrupted("sanitizer recorded violations"))
         }
     };
-    par_map(RunContext::current().jobs, items, run_cell).into_iter().collect()
+    par_map(jobs, items, run_cell).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -222,38 +212,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_carries_the_run_context_to_workers() {
-        let caller = RunContext {
-            faults: Some(kindle_mem::MediaFaultConfig::with_seed(77)),
-            backend: Some(kindle_mem::Backend::Cxl),
-            jobs: 4,
-        };
-        let guard = caller.install();
-        let seen = par_map(4, (0..8u64).collect(), |_| RunContext::current());
-        let worker = RunContext { jobs: 1, ..caller };
-        assert!(seen.iter().all(|&c| c == worker), "workers run serial under the caller's context");
-        let seen = par_map(1, (0..8u64).collect(), |_| RunContext::current());
-        assert!(seen.iter().all(|&c| c == caller), "the serial path sees the caller's context");
-        assert_eq!(RunContext::current(), caller, "the map must not change the caller's context");
-        let res = std::panic::catch_unwind(|| {
-            par_map(4, (0..8u64).collect(), |x| assert!(x != 5, "boom at item 5"));
-        });
-        assert!(res.is_err());
-        assert_eq!(RunContext::current(), caller, "a worker panic must not change it either");
-        drop(guard);
-        assert_eq!(RunContext::current(), RunContext::default());
-
-        let guard = RunContext { jobs: 0, ..RunContext::default() }.install();
-        assert_eq!(RunContext::current().jobs, 1, "install clamps jobs to >= 1");
-        drop(guard);
-    }
-
-    #[test]
     fn par_map_cells_collects_and_fails_on_first_error() {
-        let _jobs = RunContext { jobs: 4, ..RunContext::default() }.install();
-        let ok: Result<Vec<u64>> = par_map_cells((0..10u64).collect(), Ok);
+        let ok: Result<Vec<u64>> = par_map_cells(4, (0..10u64).collect(), Ok);
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
-        let err: Result<Vec<u64>> = par_map_cells((0..10u64).collect(), |x| {
+        let err: Result<Vec<u64>> = par_map_cells(4, (0..10u64).collect(), |x| {
             if x == 3 {
                 Err(KindleError::Corrupted("cell 3"))
             } else {
@@ -268,12 +230,12 @@ mod tests {
         use kindle_types::sanitize::Event;
         let outer = InvariantChecker::new();
         let _guard = sanitize::install(Box::new(outer));
-        let _jobs = RunContext { jobs: 4, ..RunContext::default() }.install();
         // Every cell (on whatever thread) must observe an installed checker.
-        let installed = par_map_cells((0..8u64).collect(), |_| Ok(sanitize::installed())).unwrap();
+        let installed =
+            par_map_cells(4, (0..8u64).collect(), |_| Ok(sanitize::installed())).unwrap();
         assert!(installed.iter().all(|&b| b), "{installed:?}");
         // A cell that violates an invariant fails the map.
-        let err = par_map_cells(vec![0u64], |_| {
+        let err = par_map_cells(4, vec![0u64], |_| {
             sanitize::emit(|| Event::FrameAlloc { pool: "nvm", pfn: 1 });
             sanitize::emit(|| Event::FrameFree { pool: "nvm", pfn: 1 });
             sanitize::emit(|| Event::FrameFree { pool: "nvm", pfn: 1 });

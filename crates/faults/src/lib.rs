@@ -34,8 +34,8 @@ pub mod trigger;
 pub use plan::{FaultPlan, FaultPoint};
 pub use recovery_checker::{RecoveryChecker, RecoveryViolation, RecoveryViolationLog};
 pub use sweep::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
-    run_sweep_strategy, DataIntegrityOutcome, GoldenRun, SweepOutcome, SweepStrategy,
-    SweepTelemetry,
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_nvm_write_sweep_instrumented,
+    run_stuck_sweep_strategy, run_sweep_strategy, DataIntegrityOutcome, GoldenRun, SweepOutcome,
+    SweepStrategy, SweepTelemetry,
 };
 pub use trigger::{BoundaryCounter, PowerCutTrigger, PublishRecord};

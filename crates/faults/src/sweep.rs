@@ -41,9 +41,9 @@
 //! its own per-point RNG), so the sweep fans out over
 //! [`kindle_core::parallel::par_map`] workers; the snapshot pool is shared
 //! across workers by reference (snapshots are `Send + Sync`). Every entry
-//! point takes its worker count from the caller (the library reads no
-//! environment variable). The digest folds each point's observables **in
-//! crash-point order** regardless of which worker finished first, so one
+//! point takes its [`RunSettings`] (worker count, fault model, backend)
+//! from the caller; the library reads no environment variable. The digest
+//! folds each point's observables **in crash-point order** regardless of which worker finished first, so one
 //! worker and eight produce identical [`SweepOutcome`]s — the determinism
 //! tests pin exactly that.
 
@@ -54,7 +54,7 @@ use kindle_core::parallel;
 
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
+use kindle_sim::{Machine, MachineConfig, MachineSnapshot, RunSettings};
 use kindle_types::sanitize::{self, Event, InvariantChecker, Sanitizer, ThreadId, ViolationLog};
 use kindle_types::{
     checksum64, AccessKind, Cycles, KindleError, MapFlags, PhysMem, Prot, Result, Rng64, VirtAddr,
@@ -688,12 +688,13 @@ fn crash_at(
 /// the outcome (`boundaries` counts the crash points exercised) and the
 /// golden run's telemetry.
 fn run_crash_sweep(
-    cfg: &MachineConfig,
+    cfg: MachineConfig,
     seed: u64,
-    jobs: usize,
+    run: RunSettings,
     strategy: SweepStrategy,
     plan: impl FnOnce(&GoldenRun) -> (Vec<FaultPoint>, Vec<u64>),
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
+    let cfg = &run.apply(cfg);
     let (golden, pool) = match strategy {
         SweepStrategy::SnapshotFork => {
             let (g, p) = recorded_golden_cfg(cfg)?;
@@ -705,7 +706,7 @@ fn run_crash_sweep(
     let crash_points = points.len() as u64;
     let golden_ref = &golden;
     let pool_ref = pool.as_ref();
-    let results = parallel::par_map(jobs, points, move |point| {
+    let results = parallel::par_map(run.jobs, points, move |point| {
         // A fresh generator per point keeps crash points independent:
         // inserting a point does not shift every later tear.
         let mut rng = Rng64::new(seed ^ (point_index(point) + 1).wrapping_mul(GOLDEN_GAMMA));
@@ -741,9 +742,10 @@ fn every_boundary(prefix: &[u64], golden: &GoldenRun) -> (Vec<FaultPoint>, Vec<u
 /// [`SweepOutcome::digest`]s. `threaded` runs every checkpoint on the
 /// simulated checkpoint daemon kthread; the thread interleaving is
 /// replayed deterministically from the seed, so equal seeds still mean
-/// equal digests. Any worker count gives the identical outcome (`jobs = 1`
-/// is the exact serial loop), and so does either strategy: the
-/// replay-from-zero oracle must reproduce the forked sweep's digest.
+/// equal digests. Any worker count gives the identical outcome
+/// (`run.jobs = 1` is the exact serial loop), and so does either
+/// strategy: the replay-from-zero oracle must reproduce the forked
+/// sweep's digest. `run`'s fault model and backend arm the machines.
 ///
 /// # Errors
 ///
@@ -757,11 +759,10 @@ pub fn run_sweep_strategy(
     mode: PtMode,
     seed: u64,
     threaded: bool,
-    jobs: usize,
+    run: RunSettings,
     strategy: SweepStrategy,
 ) -> Result<SweepOutcome> {
-    let cfg = config(mode, threaded);
-    Ok(run_crash_sweep(&cfg, seed, jobs, strategy, |g| every_boundary(&[], g))?.0)
+    Ok(run_crash_sweep(config(mode, threaded), seed, run, strategy, |g| every_boundary(&[], g))?.0)
 }
 
 /// The stuck-cell sweep: the full boundary crash/recovery sweep run
@@ -771,8 +772,9 @@ pub fn run_sweep_strategy(
 /// violations — the stuck cells the workload's write set crosses are
 /// absorbed by write-time correction, and scrubd verify passes (whose
 /// counters join the digest) keep the NVM-resident page tables honest
-/// across every crash and recovery. `jobs` and `strategy` are as in
-/// [`run_sweep_strategy`].
+/// across every crash and recovery. `run` and `strategy` are as in
+/// [`run_sweep_strategy`]; the sweep's own fault model wins over
+/// `run.faults`.
 ///
 /// # Errors
 ///
@@ -786,11 +788,11 @@ pub fn run_stuck_sweep_strategy(
     mode: PtMode,
     seed: u64,
     stuck: usize,
-    jobs: usize,
+    run: RunSettings,
     strategy: SweepStrategy,
 ) -> Result<SweepOutcome> {
     let cfg = stuck_config(mode, seed, stuck);
-    Ok(run_crash_sweep(&cfg, seed, jobs, strategy, |g| every_boundary(&[stuck as u64], g))?.0)
+    Ok(run_crash_sweep(cfg, seed, run, strategy, |g| every_boundary(&[stuck as u64], g))?.0)
 }
 
 /// The write-granular sweep: cuts power after every `stride`-th NVM line
@@ -799,7 +801,7 @@ pub fn run_stuck_sweep_strategy(
 /// `sweep` binary). Returns a [`SweepOutcome`] whose `boundaries` counts
 /// the crash points exercised, and the sweep's [`SweepTelemetry`] (the
 /// `sweep` bench binary publishes it as the `SWEEP_timing.json` CI
-/// artifact). `jobs` and `strategy` are as in [`run_sweep_strategy`].
+/// artifact). `run` and `strategy` are as in [`run_sweep_strategy`].
 ///
 /// # Errors
 ///
@@ -808,6 +810,26 @@ pub fn run_stuck_sweep_strategy(
 /// # Panics
 ///
 /// Panics when a recovery check fails.
+pub fn run_nvm_write_sweep(
+    mode: PtMode,
+    seed: u64,
+    stride: u64,
+    run: RunSettings,
+    strategy: SweepStrategy,
+) -> Result<(SweepOutcome, SweepTelemetry)> {
+    let stride = stride.max(1);
+    run_crash_sweep(config(mode, false), seed, run, strategy, |g| {
+        let points = (0..g.nvm_writes).step_by(stride as usize).map(FaultPoint::NvmWrite).collect();
+        (points, vec![g.boundaries, g.nvm_writes, stride])
+    })
+}
+
+/// [`run_nvm_write_sweep`] on `jobs` workers, fault-free, on the default
+/// far tier.
+///
+/// # Errors
+///
+/// Propagates machine/workload/recovery failures.
 pub fn run_nvm_write_sweep_instrumented(
     mode: PtMode,
     seed: u64,
@@ -815,11 +837,8 @@ pub fn run_nvm_write_sweep_instrumented(
     jobs: usize,
     strategy: SweepStrategy,
 ) -> Result<(SweepOutcome, SweepTelemetry)> {
-    let stride = stride.max(1);
-    run_crash_sweep(&config(mode, false), seed, jobs, strategy, |g| {
-        let points = (0..g.nvm_writes).step_by(stride as usize).map(FaultPoint::NvmWrite).collect();
-        (points, vec![g.boundaries, g.nvm_writes, stride])
-    })
+    let run = RunSettings { jobs, ..RunSettings::default() };
+    run_nvm_write_sweep(mode, seed, stride, run, strategy)
 }
 
 /// NVM data pages the integrity workload maps and fills per grid point.
@@ -846,7 +865,7 @@ pub struct DataIntegrityOutcome {
 
 /// The data-integrity machine: persistent page tables (so scrubd and the
 /// patrol's table-skip both do real work), a controlled media model with
-/// `budget` ECP entries per line and *no* ambient faults (the point seeds
+/// `budget` ECP entries per line and *no* run-wide faults (the point seeds
 /// its own stuck cells under data lines), and — on the daemon arm — both
 /// scrubd and patrold.
 fn integrity_config(budget: u32, daemons: bool, seed: u64) -> MachineConfig {
@@ -892,6 +911,7 @@ fn run_integrity_point(
     daemons: bool,
     stuck: usize,
     seed: u64,
+    run: RunSettings,
     strategy: SweepStrategy,
 ) -> Result<(u64, u64, u64, Vec<u64>)> {
     const WORDS_PER_PAGE: u64 = PAGE_SIZE as u64 / 8;
@@ -900,7 +920,7 @@ fn run_integrity_point(
     let ic = InvariantChecker::new();
     let ic_log = ic.log();
     let guard = sanitize::install(Box::new(ic));
-    let mut m = Machine::new(integrity_config(budget, daemons, seed))?;
+    let mut m = Machine::new(run.apply(integrity_config(budget, daemons, seed)))?;
     let victim = m.spawn_process()?;
     let driver = m.spawn_process()?;
     let va = m.mmap(
@@ -1041,10 +1061,11 @@ fn run_integrity_point(
 /// points, each seeding `stuck` stuck cells under *data* frames and
 /// verifying the checksum-patrol/poison/graceful-degradation contract (see
 /// [`run_integrity_point`]'s contract list). Equal seeds must yield equal
-/// digests regardless of worker count (`jobs = 1` is the exact serial
-/// loop). The two strategies must produce identical outcomes: the
-/// snapshot-fork arm runs each point's patrol/kill tail on a machine that
-/// made a `snapshot → restore` round trip mid-point.
+/// digests regardless of worker count (`run.jobs = 1` is the exact serial
+/// loop); the grid's own fault model wins over `run.faults`. The two
+/// strategies must produce identical outcomes: the snapshot-fork arm runs
+/// each point's patrol/kill tail on a machine that made a
+/// `snapshot → restore` round trip mid-point.
 ///
 /// # Errors
 ///
@@ -1059,7 +1080,7 @@ fn run_integrity_point(
 pub fn run_data_integrity_sweep_strategy(
     seed: u64,
     stuck: usize,
-    jobs: usize,
+    run: RunSettings,
     strategy: SweepStrategy,
 ) -> Result<DataIntegrityOutcome> {
     let grid: Vec<(u64, u32, bool)> = [(0u32, false), (0, true), (2, false), (2, true)]
@@ -1067,10 +1088,10 @@ pub fn run_data_integrity_sweep_strategy(
         .enumerate()
         .map(|(i, &(budget, daemons))| (i as u64, budget, daemons))
         .collect();
-    let results = parallel::par_map(jobs, grid, move |(i, budget, daemons)| {
+    let results = parallel::par_map(run.jobs, grid, move |(i, budget, daemons)| {
         // A fresh generator per point keeps grid points independent.
         let pseed = seed ^ (i + 1).wrapping_mul(GOLDEN_GAMMA);
-        run_integrity_point(budget, daemons, stuck, pseed, strategy)
+        run_integrity_point(budget, daemons, stuck, pseed, run, strategy)
     });
     let mut digest_words = vec![seed, stuck as u64];
     let (mut healed, mut poisoned, mut killed, mut points) = (0u64, 0u64, 0u64, 0u64);

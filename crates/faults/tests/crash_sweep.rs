@@ -5,31 +5,35 @@
 //! zero sanitizer violations, and that the whole sweep is byte-for-byte
 //! deterministic per seed.
 
+use kindle_faults::SweepStrategy::{ReplayFromZero, SnapshotFork};
 use kindle_faults::{
     run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
-    run_sweep_strategy, SweepOutcome, SweepStrategy,
+    run_sweep_strategy, SweepOutcome,
 };
 use kindle_os::PtMode;
+use kindle_sim::RunSettings;
 
 const SEED: u64 = 0x00c0_ffee_4b1d_0001;
+
+/// Fault-free settings on the default far tier with `jobs` workers.
+fn workers(jobs: usize) -> RunSettings {
+    RunSettings { jobs, ..RunSettings::default() }
+}
 
 /// The forked boundary sweep on four workers (any count gives the
 /// identical outcome; the jobs-invariance tests below pin that).
 fn sweep(mode: PtMode, seed: u64, threaded: bool) -> SweepOutcome {
-    run_sweep_strategy(mode, seed, threaded, 4, SweepStrategy::SnapshotFork).unwrap()
+    run_sweep_strategy(mode, seed, threaded, workers(4), SnapshotFork).unwrap()
 }
 
 /// The forked stride-199 NVM-write sweep (Rebuild) on `jobs` workers.
 fn write_sweep(jobs: usize) -> SweepOutcome {
-    run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, 199, jobs, SweepStrategy::SnapshotFork)
-        .unwrap()
-        .0
+    run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, 199, jobs, SnapshotFork).unwrap().0
 }
 
 /// The forked 4096-cell stuck sweep (Persistent) on `jobs` workers.
 fn stuck_sweep(jobs: usize) -> SweepOutcome {
-    run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, jobs, SweepStrategy::SnapshotFork)
-        .unwrap()
+    run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, workers(jobs), SnapshotFork).unwrap()
 }
 
 #[test]
@@ -127,19 +131,17 @@ fn stuck_cell_sweep_recovers_and_is_jobs_invariant() {
 #[test]
 fn forked_boundary_sweep_matches_replay_from_zero() {
     for mode in [PtMode::Rebuild, PtMode::Persistent] {
-        let forked = run_sweep_strategy(mode, SEED, false, 4, SweepStrategy::SnapshotFork).unwrap();
-        let replayed =
-            run_sweep_strategy(mode, SEED, false, 4, SweepStrategy::ReplayFromZero).unwrap();
+        let forked = run_sweep_strategy(mode, SEED, false, workers(4), SnapshotFork).unwrap();
+        let replayed = run_sweep_strategy(mode, SEED, false, workers(4), ReplayFromZero).unwrap();
         assert_eq!(forked, replayed, "{mode:?}: forked digest must match full replay");
     }
 }
 
 #[test]
 fn forked_threaded_sweep_matches_replay_from_zero() {
-    let forked =
-        run_sweep_strategy(PtMode::Rebuild, SEED, true, 4, SweepStrategy::SnapshotFork).unwrap();
+    let forked = run_sweep_strategy(PtMode::Rebuild, SEED, true, workers(4), SnapshotFork).unwrap();
     let replayed =
-        run_sweep_strategy(PtMode::Rebuild, SEED, true, 4, SweepStrategy::ReplayFromZero).unwrap();
+        run_sweep_strategy(PtMode::Rebuild, SEED, true, workers(4), ReplayFromZero).unwrap();
     assert_eq!(forked, replayed, "kthread state must round-trip through snapshots");
 }
 
@@ -148,32 +150,19 @@ fn forked_stuck_sweep_matches_replay_from_zero() {
     // The hardest state to capture: media fault RNG, stuck-cell map, ECP
     // correction directory and scrubd progress all live below the OS.
     let forked =
-        run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, 4, SweepStrategy::SnapshotFork)
-            .unwrap();
+        run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, workers(4), SnapshotFork).unwrap();
     let replayed =
-        run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, 4, SweepStrategy::ReplayFromZero)
+        run_stuck_sweep_strategy(PtMode::Persistent, SEED, 4096, workers(4), ReplayFromZero)
             .unwrap();
     assert_eq!(forked, replayed, "media/scrub state must round-trip through snapshots");
 }
 
 #[test]
 fn forked_nvm_write_sweep_matches_replay_from_zero() {
-    let (forked, telemetry) = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        151,
-        4,
-        SweepStrategy::SnapshotFork,
-    )
-    .unwrap();
-    let (replayed, _) = run_nvm_write_sweep_instrumented(
-        PtMode::Rebuild,
-        SEED,
-        151,
-        4,
-        SweepStrategy::ReplayFromZero,
-    )
-    .unwrap();
+    let (forked, telemetry) =
+        run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, 151, 4, SnapshotFork).unwrap();
+    let (replayed, _) =
+        run_nvm_write_sweep_instrumented(PtMode::Rebuild, SEED, 151, 4, ReplayFromZero).unwrap();
     assert_eq!(forked, replayed, "write-granular forks must match full replay");
     // The fork tier really ran on snapshots: the pool was populated and
     // stayed within its bound.
@@ -186,20 +175,18 @@ fn round_tripped_data_integrity_sweep_matches_straight_run() {
     // The data-integrity grid has no shared prefix to fork; its strategy
     // cross-check instead runs each point's patrol/kill tail on a machine
     // that made a snapshot→restore round trip right after fault seeding.
-    let forked =
-        run_data_integrity_sweep_strategy(SEED, 6, 4, SweepStrategy::SnapshotFork).unwrap();
-    let replayed =
-        run_data_integrity_sweep_strategy(SEED, 6, 4, SweepStrategy::ReplayFromZero).unwrap();
+    let forked = run_data_integrity_sweep_strategy(SEED, 6, workers(4), SnapshotFork).unwrap();
+    let replayed = run_data_integrity_sweep_strategy(SEED, 6, workers(4), ReplayFromZero).unwrap();
     assert_eq!(forked, replayed, "snapshot round trip must be invisible to patrol/poison");
 }
 
 #[test]
 fn forked_sweep_is_jobs_invariant() {
-    // Workers fork from shared snapshots under the caller's run context
-    // (carried by `par_map`); one worker and eight must agree bit-for-bit.
+    // Workers fork from shared snapshots; one worker and eight must agree
+    // bit-for-bit.
     let serial =
-        run_sweep_strategy(PtMode::Rebuild, SEED, false, 1, SweepStrategy::SnapshotFork).unwrap();
+        run_sweep_strategy(PtMode::Rebuild, SEED, false, workers(1), SnapshotFork).unwrap();
     let parallel =
-        run_sweep_strategy(PtMode::Rebuild, SEED, false, 8, SweepStrategy::SnapshotFork).unwrap();
+        run_sweep_strategy(PtMode::Rebuild, SEED, false, workers(8), SnapshotFork).unwrap();
     assert_eq!(serial, parallel, "forked sweep jobs=1 vs jobs=8 must agree bit-for-bit");
 }

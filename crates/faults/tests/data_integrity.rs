@@ -24,7 +24,7 @@ use std::rc::Rc;
 use kindle_faults::{run_data_integrity_sweep_strategy, SweepStrategy};
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig};
+use kindle_sim::{Machine, MachineConfig, RunSettings};
 use kindle_types::sanitize::{
     self, Event, InvariantChecker, KillReason, Sanitizer, ThreadId, Violation,
 };
@@ -238,8 +238,12 @@ fn without_patrold_a_corrupt_read_trips_the_new_invariant() {
 
 #[test]
 fn data_integrity_sweep_is_jobs_invariant() {
-    let a = run_data_integrity_sweep_strategy(0xDA7A, 3, 1, SweepStrategy::SnapshotFork).unwrap();
-    let b = run_data_integrity_sweep_strategy(0xDA7A, 3, 4, SweepStrategy::SnapshotFork).unwrap();
+    let serial = RunSettings::default();
+    let four = RunSettings { jobs: 4, ..serial };
+    let a =
+        run_data_integrity_sweep_strategy(0xDA7A, 3, serial, SweepStrategy::SnapshotFork).unwrap();
+    let b =
+        run_data_integrity_sweep_strategy(0xDA7A, 3, four, SweepStrategy::SnapshotFork).unwrap();
     assert_eq!(a, b, "worker count must not leak into the outcome");
     assert_eq!(a.points, 4);
     assert_eq!(a.data_healed, 3, "the budgeted daemon arm heals every seeded line");

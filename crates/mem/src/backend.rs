@@ -50,7 +50,7 @@ const REGISTRY: &[Backend] = &[
 ];
 
 /// A registered far-tier backend. This is the value that travels through
-/// configs, snapshots and the run context, and the only home of far-tier
+/// configs, snapshots and run settings, and the only home of far-tier
 /// semantics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {

@@ -130,7 +130,9 @@ pub struct MemConfig {
     /// this config's `nvm` timings. `Some(b)` takes timing, fault
     /// filtering, patrol capability and the link penalty from `b`'s
     /// [`crate::backend::Backend`] methods. PCM, set or unset, keeps
-    /// this config's `nvm`; every other backend ignores it.
+    /// this config's `nvm`; under every other backend `nvm` must stay
+    /// [`NvmConfig::pcm`], and `Machine::new` rejects a config that
+    /// changes it.
     pub backend: Option<crate::backend::Backend>,
 }
 

@@ -1,8 +1,5 @@
 //! Machine configuration (Table I defaults).
 
-use std::cell::Cell;
-use std::marker::PhantomData;
-
 use kindle_cache::HierarchyConfig;
 use kindle_hscc::HsccConfig;
 use kindle_mem::{Backend, MediaFaultConfig, MemConfig};
@@ -177,67 +174,36 @@ impl MachineConfig {
     }
 }
 
-/// The settings of one run that reach machines whose construction sites
-/// the caller does not control: the bench harness installs it once from
-/// its flags, [`Machine::new`](crate::Machine::new) reads it, and
-/// `kindle_core::parallel::par_map` carries it onto every worker. It
-/// lives in a host-thread-local (like the sanitizer installation in
-/// `kindle_types::sanitize`); [`RunContext::current`] and
-/// [`RunContext::install`] are the only ways in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunContext {
+/// The settings of one run that no single machine config carries: the
+/// bench harness builds them from `--faults`, `--backend` and `--jobs`
+/// and passes them to every grid, sweep and machine it runs. Grids fill
+/// each machine's config through [`RunSettings::apply`], so a machine is
+/// a function of its [`MachineConfig`] alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunSettings {
     /// Media-fault model for machines whose config leaves `mem.faults`
     /// unset; an explicit config always wins.
     pub faults: Option<MediaFaultConfig>,
     /// Far-tier backend for machines whose config leaves `mem.backend`
     /// unset; an explicit config always wins.
     pub backend: Option<Backend>,
-    /// Worker count for experiment grids (`par_map_cells`); at least 1
-    /// once installed.
+    /// Worker count for experiment grids and crash sweeps; 0 and 1 both
+    /// mean serial.
     pub jobs: usize,
 }
 
-impl RunContext {
-    /// Serial, fault-free, default backend.
-    const DEFAULT: RunContext = RunContext { faults: None, backend: None, jobs: 1 };
-
-    /// The context installed on this thread ([`RunContext::default`]
-    /// unless a guard is live).
-    pub fn current() -> RunContext {
-        CONTEXT.with(Cell::get)
-    }
-
-    /// Installs this context on the current thread, clamping `jobs` to at
-    /// least 1. The guard restores the previous context when dropped,
-    /// unwinding included, so installs nest.
-    pub fn install(self) -> RunContextGuard {
-        let ctx = RunContext { jobs: self.jobs.max(1), ..self };
-        RunContextGuard { prev: CONTEXT.with(|c| c.replace(ctx)), _thread: PhantomData }
-    }
-}
-
-impl Default for RunContext {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
-}
-
-thread_local! {
-    static CONTEXT: Cell<RunContext> = const { Cell::new(RunContext::DEFAULT) };
-}
-
-/// Restores the context that [`RunContext::install`] shadowed. Not `Send`:
-/// it must drop on the thread whose context it replaced.
-#[must_use = "the context is uninstalled as soon as the guard drops"]
-#[derive(Debug)]
-pub struct RunContextGuard {
-    prev: RunContext,
-    _thread: PhantomData<*const ()>,
-}
-
-impl Drop for RunContextGuard {
-    fn drop(&mut self) {
-        CONTEXT.with(|c| c.set(self.prev));
+impl RunSettings {
+    /// Fills the media-fault model and far-tier backend `cfg` leaves
+    /// unset; an explicit config always wins.
+    #[must_use]
+    pub fn apply(self, mut cfg: MachineConfig) -> MachineConfig {
+        if cfg.mem.faults.is_none() {
+            cfg.mem.faults = self.faults;
+        }
+        if cfg.mem.backend.is_none() {
+            cfg.mem.backend = self.backend;
+        }
+        cfg
     }
 }
 
@@ -267,5 +233,23 @@ mod tests {
             .with_checkpointing(Cycles::from_millis(100));
         assert_eq!(c.pt_mode, PtMode::Persistent);
         assert_eq!(c.checkpoint.unwrap().interval, Cycles::from_millis(100));
+    }
+
+    #[test]
+    fn run_settings_fill_only_unset_fields() {
+        let run = RunSettings {
+            faults: Some(MediaFaultConfig::with_seed(77)),
+            backend: Some(Backend::Numa),
+            jobs: 4,
+        };
+        let filled = run.apply(MachineConfig::small());
+        assert_eq!(filled.mem.faults, run.faults);
+        assert_eq!(filled.mem.backend, run.backend);
+        assert_eq!(RunSettings::default().apply(MachineConfig::small()), MachineConfig::small());
+
+        let explicit =
+            run.apply(MachineConfig::small().with_media_faults(5).with_backend(Backend::Cxl));
+        assert_eq!(explicit.mem.faults.map(|f| f.seed), Some(5), "an explicit model wins");
+        assert_eq!(explicit.mem.backend, Some(Backend::Cxl), "an explicit backend wins");
     }
 }

@@ -32,8 +32,7 @@ pub mod machine;
 pub mod report;
 
 pub use config::{
-    CheckpointSetup, MachineConfig, RunContext, RunContextGuard, DEFAULT_PATROL_INTERVAL,
-    DEFAULT_SCRUB_INTERVAL,
+    CheckpointSetup, MachineConfig, RunSettings, DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL,
 };
 pub use daemon::{CheckpointDaemon, KernelDaemon, MigrationDaemon, PatrolDaemon, ScrubDaemon};
 pub use hw::Hw;

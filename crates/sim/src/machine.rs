@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use kindle_cpu::Activity;
 use kindle_hscc::HsccEngine;
-use kindle_mem::{PatrolOutcome, PowerSwitch};
+use kindle_mem::{Backend, NvmConfig, PatrolOutcome, PowerSwitch};
 use kindle_os::{
     DaemonKind, IntegrityOutcome, KThreadKind, Kernel, KernelConfig, PatrolPassOutcome,
     PatrolState, RetireOutcome, ScrubState, UnmapOutcome, PATROL_BATCH_FRAMES,
@@ -19,7 +19,7 @@ use kindle_types::{
     Rng64, VirtAddr, CACHE_LINE,
 };
 
-use crate::config::{MachineConfig, RunContext};
+use crate::config::MachineConfig;
 use crate::daemon::{self, DaemonSlot, KernelDaemon};
 use crate::hw::Hw;
 use crate::report::SimReport;
@@ -97,14 +97,15 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel/engine construction failures.
-    pub fn new(mut cfg: MachineConfig) -> Result<Self> {
-        let ctx = RunContext::current();
-        if cfg.mem.faults.is_none() {
-            cfg.mem.faults = ctx.faults;
-        }
-        if cfg.mem.backend.is_none() {
-            cfg.mem.backend = ctx.backend;
+    /// Propagates kernel/engine construction failures;
+    /// [`KindleError::InvalidArgument`] when `cfg.mem.nvm` departs from
+    /// [`NvmConfig::pcm`] under a non-PCM backend, whose timing comes
+    /// from the backend alone.
+    pub fn new(cfg: MachineConfig) -> Result<Self> {
+        if cfg.mem.backend.is_some_and(|b| b != Backend::Pcm) && cfg.mem.nvm != NvmConfig::pcm() {
+            return Err(KindleError::InvalidArgument(
+                "MemConfig::nvm overrides only the pcm backend's timing",
+            ));
         }
         let mut hw = Hw::new(&cfg);
         let kcfg = KernelConfig {
@@ -992,8 +993,7 @@ impl Machine {
     /// hardware pools and data image, caches, TLBs, page tables (they live
     /// in the memory image), redo log and checkpoint area, kernel +
     /// scheduler + daemon registry, and checksum/scrub/patrol state. The
-    /// resolved config travels with it, so the capturing thread's
-    /// [`RunContext`] is already baked in.
+    /// config travels with it.
     ///
     /// The copy never carries power-cut wiring: a restored machine arms its
     /// own fresh [`PowerSwitch`] if it wants one. Cloning touches no
@@ -1024,10 +1024,9 @@ impl Machine {
     /// usable, any number of machines can restore from it, and the caller
     /// may be on a different thread than the capturer).
     ///
-    /// Restoring leaves the calling thread's [`RunContext`] untouched: the
-    /// fork runs the fault model and backend resolved into the captured
-    /// config. It only re-anchors the sanitizer's
-    /// current-thread stamp to the scheduler's running kthread.
+    /// The fork runs the fault model and backend of the captured config.
+    /// Restoring only re-anchors the sanitizer's current-thread stamp to
+    /// the scheduler's running kthread.
     pub fn restore(snap: &MachineSnapshot) -> Self {
         let m = Machine {
             cfg: snap.cfg.clone(),
@@ -1097,6 +1096,18 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small()).unwrap();
         let pid = m.spawn_process().unwrap();
         (m, pid)
+    }
+
+    #[test]
+    fn nvm_timing_override_needs_the_pcm_backend() {
+        let shallow = |backend| {
+            let mut cfg = MachineConfig::small().with_backend(backend);
+            cfg.mem.nvm.write_buffer = 8;
+            Machine::new(cfg)
+        };
+        assert!(matches!(shallow(Backend::Numa), Err(KindleError::InvalidArgument(_))));
+        assert!(shallow(Backend::Pcm).is_ok());
+        assert!(Machine::new(MachineConfig::small().with_backend(Backend::Numa)).is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use kindle_mem::MediaFaultConfig;
 use kindle_os::PtMode;
-use kindle_sim::{Machine, MachineConfig, MachineSnapshot, RunContext};
+use kindle_sim::{Machine, MachineConfig, MachineSnapshot};
 use kindle_types::{AccessKind, Cycles, MapFlags, PhysMem, Prot, VirtAddr, PAGE_SIZE};
 
 const PAGES: u64 = 4;
@@ -158,33 +158,12 @@ fn snapshot_survives_mutation_of_the_original() {
 }
 
 #[test]
-fn restore_is_pure_and_keeps_the_captured_backend() {
-    // Sweep forks restore on arbitrary worker threads. The backend the
-    // machine was built with lives in its resolved config, so restore
-    // needs no ambient state and must not touch the caller's context.
-    let ctx = RunContext { backend: Some(kindle_mem::Backend::SttRam), ..RunContext::default() };
-    let guard = ctx.install();
-    let m = Machine::new(MachineConfig::small()).unwrap();
-    assert_eq!(
-        m.hw.mc.backend(),
-        kindle_mem::Backend::SttRam,
-        "machines must pick up the context backend when the config leaves it unset"
-    );
-    let snap = m.snapshot();
-    drop(guard);
-
-    // Restore under a different context: it must neither leak into the
-    // fork nor be overwritten by the capturer's.
-    let numa = RunContext { backend: Some(kindle_mem::Backend::Numa), ..RunContext::default() };
-    let guard = numa.install();
-    let restored = Machine::restore(&snap);
+fn restore_keeps_the_captured_backend() {
+    // Sweep forks restore on arbitrary worker threads; the backend lives
+    // in the captured config, so every fork runs the capturer's far tier.
+    let m = Machine::new(MachineConfig::small().with_backend(kindle_mem::Backend::SttRam)).unwrap();
+    let restored = Machine::restore(&m.snapshot());
     assert_eq!(restored.hw.mc.backend(), kindle_mem::Backend::SttRam);
-    assert_eq!(RunContext::current(), numa, "restore must leave the caller's context untouched");
-
-    // An explicit config always beats the context's choice.
-    let explicit = Machine::new(MachineConfig::small().with_backend(kindle_mem::Backend::Cxl));
-    drop(guard);
-    assert_eq!(explicit.unwrap().hw.mc.backend(), kindle_mem::Backend::Cxl);
 }
 
 #[test]

@@ -13,10 +13,11 @@
 use kindle::experiments::{run_backend_grid, run_fig4a, BackendGridParams, Fig4aParams};
 use kindle::mem::{Backend, MediaFaultConfig, MemConfig, MemoryController};
 use kindle::prelude::{AccessKind, Cycles, MemKind, PtMode};
-use kindle::sim::RunContext;
+use kindle::sim::RunSettings;
+use kindle_faults::SweepStrategy::SnapshotFork;
 use kindle_faults::{
-    run_data_integrity_sweep_strategy, run_nvm_write_sweep_instrumented, run_stuck_sweep_strategy,
-    run_sweep_strategy, SweepStrategy, SweepTelemetry,
+    run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_nvm_write_sweep_instrumented,
+    run_stuck_sweep_strategy, run_sweep_strategy, SweepTelemetry,
 };
 
 #[test]
@@ -48,9 +49,8 @@ fn nvm_write_sweep_digests_are_pinned() {
     };
     for seed in [11, 29] {
         for (mode, want) in [(PtMode::Rebuild, rebuild), (PtMode::Persistent, persistent)] {
-            let (out, _) =
-                run_nvm_write_sweep_instrumented(mode, seed, 199, 1, SweepStrategy::SnapshotFork)
-                    .expect("sweep runs");
+            let (out, _) = run_nvm_write_sweep_instrumented(mode, seed, 199, 1, SnapshotFork)
+                .expect("sweep runs");
             assert_eq!(out.digest, want, "{mode:?} stride-199 sweep digest, seed {seed}");
         }
     }
@@ -65,10 +65,10 @@ fn checkpoint_sweep_digests_are_pinned() {
     } else {
         (0x2d10_2d22_c14f_ea0f, 0x21fe_3cda_8429_3441)
     };
+    let serial = RunSettings::default();
     for (mode, want) in [(PtMode::Rebuild, rebuild), (PtMode::Persistent, persistent)] {
-        let out =
-            run_sweep_strategy(mode, 0x00c0_ffee_4b1d_0001, false, 1, SweepStrategy::SnapshotFork)
-                .expect("sweep runs");
+        let out = run_sweep_strategy(mode, 0x00c0_ffee_4b1d_0001, false, serial, SnapshotFork)
+            .expect("sweep runs");
         assert_eq!(out.digest, want, "{mode:?} checkpoint sweep digest");
     }
 }
@@ -84,13 +84,12 @@ fn threaded_and_stuck_sweeps_are_pinned() {
     } else {
         ((21, 17, 0xb617_005b_837e_50e5), (21, 17, 0x5197_10c6_9b90_f579))
     };
-    let seed = 0x00c0_ffee_4b1d_0001;
-    let out = run_sweep_strategy(PtMode::Rebuild, seed, true, 1, SweepStrategy::SnapshotFork)
-        .expect("sweep runs");
-    assert_eq!((out.boundaries, out.recovered, out.digest), threaded, "threaded sweep");
+    let (seed, serial) = (0x00c0_ffee_4b1d_0001, RunSettings::default());
     let out =
-        run_stuck_sweep_strategy(PtMode::Persistent, seed, 4096, 1, SweepStrategy::SnapshotFork)
-            .expect("sweep runs");
+        run_sweep_strategy(PtMode::Rebuild, seed, true, serial, SnapshotFork).expect("sweep runs");
+    assert_eq!((out.boundaries, out.recovered, out.digest), threaded, "threaded sweep");
+    let out = run_stuck_sweep_strategy(PtMode::Persistent, seed, 4096, serial, SnapshotFork)
+        .expect("sweep runs");
     assert_eq!((out.boundaries, out.recovered, out.digest), stuck, "stuck sweep");
 }
 
@@ -103,9 +102,8 @@ fn nvm_write_sweep_telemetry_is_pinned() {
     } else {
         ((5, 3), [21, 963, 190, 24, 32, 32, 8])
     };
-    let (out, t) =
-        run_nvm_write_sweep_instrumented(PtMode::Rebuild, 11, 199, 1, SweepStrategy::SnapshotFork)
-            .expect("sweep runs");
+    let (out, t) = run_nvm_write_sweep_instrumented(PtMode::Rebuild, 11, 199, 1, SnapshotFork)
+        .expect("sweep runs");
     assert_eq!((out.boundaries, out.recovered), points, "crash points and recoveries");
     let [boundaries, nvm_writes, offered, retained, high_water, capacity, stride] = telemetry;
     let want = SweepTelemetry {
@@ -124,13 +122,14 @@ fn nvm_write_sweep_telemetry_is_pinned() {
 /// both build profiles share one digest.
 #[test]
 fn data_integrity_sweep_digest_is_pinned() {
-    let out = run_data_integrity_sweep_strategy(0xDA7A, 3, 1, SweepStrategy::SnapshotFork)
-        .expect("grid runs");
+    let serial = RunSettings::default();
+    let out =
+        run_data_integrity_sweep_strategy(0xDA7A, 3, serial, SnapshotFork).expect("grid runs");
     assert_eq!(out.digest, 0x4c03_c2eb_179b_7a4a, "data-integrity grid digest");
 }
 
 /// The stride-199 NVM-write sweep at seed 11 under every registry backend,
-/// selected through the run context as `--backend` does. `pcm` is the
+/// selected through the run settings as `--backend` does. `pcm` is the
 /// default backend, so its digests equal [`nvm_write_sweep_digests_are_pinned`]'s.
 #[test]
 fn nvm_write_sweep_digests_are_pinned_per_backend() {
@@ -157,11 +156,10 @@ fn nvm_write_sweep_digests_are_pinned_per_backend() {
     let pinned: Vec<&str> = pins.iter().map(|p| p.0).collect();
     assert_eq!(names, pinned, "every registry backend is pinned, in registry order");
     for (&backend, (name, rebuild, persistent)) in Backend::registry().iter().zip(pins) {
-        let _ctx = RunContext { backend: Some(backend), ..RunContext::default() }.install();
+        let run = RunSettings { backend: Some(backend), ..RunSettings::default() };
         for (mode, want) in [(PtMode::Rebuild, rebuild), (PtMode::Persistent, persistent)] {
             let (out, _) =
-                run_nvm_write_sweep_instrumented(mode, 11, 199, 1, SweepStrategy::SnapshotFork)
-                    .expect("sweep runs");
+                run_nvm_write_sweep(mode, 11, 199, run, SnapshotFork).expect("sweep runs");
             assert_eq!(out.digest, want, "{name} {mode:?} stride-199 sweep digest");
         }
     }

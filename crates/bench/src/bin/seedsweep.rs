@@ -77,6 +77,13 @@ fn main() -> Result<()> {
     let base = run.faults.map_or(0xBAD_5EED, |f| f.seed);
     let jobs = run.jobs;
     let stuck = harness.stuck().unwrap_or(0);
+    // Every seed runs the data-integrity grid, which needs media faults:
+    // refuse a far tier without them before any grid runs.
+    if harness.backend().fault_model(Some(sweep_faults(base, stuck))).is_none() {
+        return Err(KindleError::InvalidArgument(
+            "data-integrity grid needs a far tier with a media-fault model",
+        ));
+    }
     println!("SEEDSWEEP: Fig. 4a + Table IV under media faults, {nseeds} seeds from {base:#x}");
     println!(
         "({jobs} workers, {stuck} stuck cells/seed; overhead = persistent-scheme ms vs \

@@ -48,6 +48,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
@@ -507,6 +508,135 @@ impl ViolationLog {
     }
 }
 
+/// What the checker knows of one NVM line written since it last became
+/// durable through a commit.
+#[derive(Clone, Copy, Debug)]
+struct LineState {
+    /// Cycle of the first write since the drain count was `drains`: the
+    /// `written_at` an undrained publish reports.
+    first_write: u64,
+    /// The checker's drain count when `first_write` was recorded. The
+    /// write is still pending only while that count is current.
+    drains: u64,
+    /// Thread of the line's last write.
+    writer: ThreadId,
+    /// Sync epoch of the line's last write.
+    epoch: u64,
+}
+
+/// Lines per page: one [`PageLines`] holds a page's records.
+const PAGE_LINES: usize = 1 << (crate::PAGE_SHIFT - crate::CACHE_LINE_SHIFT);
+const _: () = assert!(PAGE_LINES == u64::BITS as usize, "one `live` bit per line");
+
+/// One NVM page's line records: slot `i` is the page's line `i`, and holds
+/// a record while bit `i` of `live` is set.
+#[derive(Debug)]
+struct PageLines {
+    live: u64,
+    slots: [LineState; PAGE_LINES],
+}
+
+/// The checker's [`LineState`]s, grouped by page. Line events come in runs
+/// within one page (a page's stores, then its `clwb`s), so the table keeps
+/// the last page it reached and a run pays one index operation, not one
+/// per line. A page leaves the index when its last record does, and its
+/// storage is reused, so the table holds only pages that have records.
+#[derive(Debug, Default)]
+struct LineTable {
+    /// Page number → its records in `pages`, for every page with a record.
+    index: BTreeMap<u64, usize>,
+    pages: Vec<PageLines>,
+    /// Positions in `pages` that no indexed page uses.
+    spare: Vec<usize>,
+    /// The indexed page the last write or commit reached, and its
+    /// position in `pages`.
+    hot: Option<(u64, usize)>,
+}
+
+impl LineTable {
+    /// Page number and slot of a line-base address.
+    fn split(line: u64) -> (u64, usize) {
+        (line >> crate::PAGE_SHIFT, (line >> crate::CACHE_LINE_SHIFT) as usize % PAGE_LINES)
+    }
+
+    /// The record of `line`; a line without one gets `fresh`.
+    fn entry(&mut self, line: u64, fresh: LineState) -> &mut LineState {
+        let (page, slot) = Self::split(line);
+        let i = match self.hot {
+            Some((p, i)) if p == page => i,
+            _ => {
+                let (pages, spare) = (&mut self.pages, &mut self.spare);
+                let i = *self.index.entry(page).or_insert_with(|| {
+                    spare.pop().unwrap_or_else(|| {
+                        pages.push(PageLines { live: 0, slots: [fresh; PAGE_LINES] });
+                        pages.len() - 1
+                    })
+                });
+                self.hot = Some((page, i));
+                i
+            }
+        };
+        let p = &mut self.pages[i];
+        if p.live & 1 << slot == 0 {
+            p.live |= 1 << slot;
+            p.slots[slot] = fresh;
+        }
+        &mut p.slots[slot]
+    }
+
+    /// Drops the record of `line`, if it has one.
+    fn remove(&mut self, line: u64) {
+        let (page, slot) = Self::split(line);
+        let i = match self.hot {
+            Some((p, i)) if p == page => {
+                self.pages[i].live &= !(1 << slot);
+                if self.pages[i].live != 0 {
+                    return;
+                }
+                self.index.remove(&page);
+                i
+            }
+            _ => {
+                let Entry::Occupied(e) = self.index.entry(page) else { return };
+                let i = *e.get();
+                self.pages[i].live &= !(1 << slot);
+                if self.pages[i].live != 0 {
+                    self.hot = Some((page, i));
+                    return;
+                }
+                e.remove();
+                i
+            }
+        };
+        self.spare.push(i);
+        self.hot = None;
+    }
+
+    /// Every record of a line in `[lo, hi)`, in line order.
+    fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &LineState)> + '_ {
+        self.index
+            .range(lo >> crate::PAGE_SHIFT..hi.div_ceil(crate::PAGE_SIZE as u64))
+            .flat_map(move |(&page, &i)| {
+                let p = &self.pages[i];
+                let mut live = p.live;
+                std::iter::from_fn(move || {
+                    let slot = live.trailing_zeros() as usize;
+                    live &= live.checked_sub(1)?;
+                    let line = page << crate::PAGE_SHIFT | (slot as u64) << crate::CACHE_LINE_SHIFT;
+                    Some((line, &p.slots[slot]))
+                })
+            })
+            .filter(move |&(line, _)| lo <= line && line < hi)
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.pages.clear();
+        self.spare.clear();
+        self.hot = None;
+    }
+}
+
 /// The PMTest-style reference checker. See the module docs for the
 /// invariants it enforces.
 ///
@@ -516,8 +646,14 @@ impl ViolationLog {
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     log: ViolationLog,
-    /// Dirty (written, not yet committed) NVM lines → write cycle.
-    pending: BTreeMap<u64, u64>,
+    /// NVM lines written and not since committed → their write record.
+    /// One record serves both the undrained-publish and the race rule, so
+    /// a write is one `entry` and a commit one `remove`.
+    lines: LineTable,
+    /// Persist barriers seen since the last crash. A barrier makes every
+    /// pending write durable by bumping this count, not by touching
+    /// `lines`: a record written under an older count is drained.
+    drains: u64,
     /// Live frames → owning pool.
     live: BTreeMap<u64, &'static str>,
     /// Frames freed and not since reallocated.
@@ -533,8 +669,6 @@ pub struct InvariantChecker {
     /// sits between every cross-thread pair, and a switch alone publishes
     /// nothing about persistence order.
     sync_epoch: u64,
-    /// NVM line → (thread, epoch) of its last uncommitted write.
-    last_writer: BTreeMap<u64, (ThreadId, u64)>,
     /// NVM lines flagged as holding uncorrected stuck-cell corruption
     /// ([`Event::ScrubDetect`]); cleared per line on [`Event::ScrubCorrect`]
     /// and per frame on retirement. A page walk touching one of these is a
@@ -554,12 +688,12 @@ impl InvariantChecker {
     }
 
     fn reset_volatile(&mut self) {
-        self.pending.clear();
+        self.lines.clear();
+        self.drains = 0;
         self.live.clear();
         self.freed.clear();
         self.ptes.clear();
         self.next_apply = 0;
-        self.last_writer.clear();
         self.sync_epoch = 0;
         // Conservative: a torn-undo crash revert may or may not leave a
         // flagged line corrupted on media, so stale flags would be
@@ -572,13 +706,24 @@ impl Sanitizer for InvariantChecker {
     fn on_event(&mut self, tid: ThreadId, ev: &Event) {
         match *ev {
             Event::NvmWrite { line, cycle } => {
-                self.pending.entry(line).or_insert(cycle);
-                if let Some(&(first, epoch)) = self.last_writer.get(&line) {
-                    if first != tid && epoch == self.sync_epoch {
-                        self.log.push(Violation::RacyNvmWrite { line, first, second: tid, cycle });
-                    }
+                let now = LineState {
+                    first_write: cycle,
+                    drains: self.drains,
+                    writer: tid,
+                    epoch: self.sync_epoch,
+                };
+                let s = self.lines.entry(line, now);
+                if s.writer != tid && s.epoch == now.epoch {
+                    let first = s.writer;
+                    self.log.push(Violation::RacyNvmWrite { line, first, second: tid, cycle });
                 }
-                self.last_writer.insert(line, (tid, self.sync_epoch));
+                if s.drains == now.drains {
+                    (s.writer, s.epoch) = (tid, now.epoch);
+                } else {
+                    // The earlier write drained; this one starts a new
+                    // pending lifetime.
+                    *s = now;
+                }
                 // An overwrite replaces the line's content (and its recorded
                 // checksum), so prior corruption flags no longer describe
                 // what a reader would observe. If the store itself re-forces
@@ -587,13 +732,12 @@ impl Sanitizer for InvariantChecker {
                 self.dirty_lines.remove(&line);
             }
             Event::NvmCommit { line } => {
-                self.pending.remove(&line);
                 // A committed line left the write buffer; later writes start
                 // a fresh, ordered lifetime for it.
-                self.last_writer.remove(&line);
+                self.lines.remove(line);
             }
             Event::NvmDrain { .. } => {
-                self.pending.clear();
+                self.drains += 1;
                 self.sync_epoch += 1;
             }
             Event::Crash => {
@@ -602,12 +746,14 @@ impl Sanitizer for InvariantChecker {
                 self.reset_volatile();
             }
             Event::CheckpointPublish { lo, hi, cycle, .. } => {
-                for (&line, &written_at) in self.pending.range(lo..hi) {
-                    self.log.push(Violation::UndrainedCheckpoint {
-                        line,
-                        written_at,
-                        published_at: cycle,
-                    });
+                for (line, s) in self.lines.range(lo, hi) {
+                    if s.drains == self.drains {
+                        self.log.push(Violation::UndrainedCheckpoint {
+                            line,
+                            written_at: s.first_write,
+                            published_at: cycle,
+                        });
+                    }
                 }
             }
             Event::FrameAlloc { pool, pfn } => {

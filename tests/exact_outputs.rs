@@ -6,7 +6,8 @@
 //! `f64::to_bits`, and the crash sweeps (checkpoint boundaries, threaded
 //! and stuck-cell boundaries, NVM writes at stride 199 under every registry
 //! backend, the data-integrity grid) are compared by their digests, which
-//! fold every observable of every crash point. The stride-199 sweep's
+//! fold every observable of every crash point; the exhaustive stride-1
+//! sweep is pinned in release builds. The stride-199 sweep's
 //! snapshot-pool telemetry is pinned too, as are every registry backend's
 //! far-tier parameters and its quick backend-grid row.
 
@@ -54,6 +55,31 @@ fn nvm_write_sweep_digests_are_pinned() {
             assert_eq!(out.digest, want, "{mode:?} stride-199 sweep digest, seed {seed}");
         }
     }
+}
+
+/// The exhaustive stride-1 NVM-write sweep, one crash point per NVM line
+/// write, as `(seed, scheme, (points, recovered, digest))`. Release profile
+/// only: the four sweeps take about 40 s in a debug build, while release
+/// runs them in about 3 s (`scripts/check.sh` and CI run this suite in
+/// release).
+#[cfg(not(debug_assertions))]
+#[test]
+fn stride1_nvm_write_sweep_digests_are_pinned() {
+    let pins = [
+        (11, PtMode::Rebuild, (963, 651, 0xd618_ee7d_1aac_9bbd)),
+        (11, PtMode::Persistent, (1826, 647, 0x9e55_be22_40d3_f4bb)),
+        (29, PtMode::Rebuild, (963, 651, 0x24d8_e2a9_a152_f8c0)),
+        (29, PtMode::Persistent, (1826, 647, 0xf267_442e_c59f_24b4)),
+    ];
+    let got: Vec<_> = pins
+        .iter()
+        .map(|&(seed, mode, _)| {
+            let (out, _) = run_nvm_write_sweep_instrumented(mode, seed, 1, 1, SnapshotFork)
+                .expect("sweep runs");
+            (seed, mode, (out.boundaries, out.recovered, out.digest))
+        })
+        .collect();
+    assert_eq!(got, pins, "stride-1 sweep as (seed, scheme, (points, recovered, digest))");
 }
 
 /// The checkpoint-boundary sweep of both schemes. Its workload also runs

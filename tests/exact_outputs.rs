@@ -9,12 +9,17 @@
 //! fold every observable of every crash point; the exhaustive stride-1
 //! sweep is pinned in release builds. The stride-199 sweep's
 //! snapshot-pool telemetry is pinned too, as are every registry backend's
-//! far-tier parameters and its quick backend-grid row.
+//! far-tier parameters and its quick backend-grid row, and three runs with
+//! all four kernel daemons armed.
 
 use kindle::experiments::{run_backend_grid, run_fig4a, BackendGridParams, Fig4aParams};
 use kindle::mem::{Backend, MediaFaultConfig, MemConfig, MemoryController};
-use kindle::prelude::{AccessKind, Cycles, MemKind, PtMode};
+use kindle::os::{PatrolStats, ScrubStats};
+use kindle::prelude::{
+    AccessKind, Cycles, HsccConfig, Machine, MachineConfig, MapFlags, MemKind, Prot, PtMode,
+};
 use kindle::sim::RunSettings;
+use kindle::types::PAGE_SIZE;
 use kindle_faults::SweepStrategy::SnapshotFork;
 use kindle_faults::{
     run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_nvm_write_sweep_instrumented,
@@ -326,4 +331,91 @@ fn backend_grid_rows_are_pinned() {
         ("cxl", 16, 4_623_639_909_219_868_545, 4_618_175_518_215_744_284),
     ];
     assert_eq!(got, want, "backend grid quick rows");
+}
+
+/// One kthread daemon run: `now`, `kthread_switches`, the thread table as
+/// `(tid, name, runs)`, and the scrub and patrol counters.
+type DaemonRun = (u64, u64, Vec<(u32, &'static str, u64)>, ScrubStats, PatrolStats);
+
+/// The threaded workload of `tests/kthreads.rs` on persistent page tables
+/// with all four daemons armed: checkpoints and HSCC scans every 20 µs,
+/// scrubd every 50 µs, patrold every 20 µs.
+fn daemon_run(hscc_os_mode: bool, kthreads: bool) -> DaemonRun {
+    let hscc = HsccConfig {
+        fetch_threshold: 3,
+        migration_interval: Cycles::from_micros(20),
+        pool_pages: 64,
+    };
+    let mut cfg = MachineConfig::small()
+        .with_pt_mode(PtMode::Persistent)
+        .with_checkpointing(Cycles::from_micros(20))
+        .with_hscc(hscc, hscc_os_mode)
+        .with_scrub_interval(Cycles::from_micros(50))
+        .with_patrol_interval(Cycles::from_micros(20));
+    if kthreads {
+        cfg = cfg.with_kthreads();
+    }
+    let mut m = Machine::new(cfg).expect("machine boots");
+    let pid = m.spawn_process().expect("spawn");
+    let page = PAGE_SIZE as u64;
+    let va = m.mmap(pid, 256 * page, Prot::RW, MapFlags::NVM).expect("mmap nvm");
+    for i in 0..256u64 {
+        m.access(pid, va + i * page, AccessKind::Write).expect("touch");
+    }
+    for round in 0..500u64 {
+        m.access(pid, va + (round % 16) * page, AccessKind::Read).expect("hot read");
+    }
+    m.checkpoint_now().expect("checkpoint");
+    let report = m.report();
+    let table = m.kernel.sched.threads().iter().map(|t| (t.tid.0, t.name, t.runs)).collect();
+    (
+        m.now().as_u64(),
+        report.kthread_switches,
+        table,
+        report.scrub.expect("scrubd armed"),
+        report.patrol.expect("patrold armed"),
+    )
+}
+
+/// Every daemon on its own kthread: OS-mode HSCC with and without
+/// kthreads, and hardware-only HSCC with kthreads, where `migrated` stays
+/// off the thread table. The kthread ids follow the registration order
+/// ckptd, migrated, scrubd, patrold. The runs are the same in both build
+/// profiles.
+#[test]
+fn kthread_daemon_runs_are_pinned() {
+    let scrub = |passes, frames_clean| ScrubStats { passes, frames_clean, ..ScrubStats::default() };
+    let patrol = |passes, frames| PatrolStats {
+        passes,
+        frames_checked: frames,
+        frames_clean: frames,
+        ..PatrolStats::default()
+    };
+    let want: [DaemonRun; 3] = [
+        (
+            19_514_170,
+            1402,
+            vec![
+                (0, "main", 701),
+                (1, "ckptd", 243),
+                (2, "migrated", 200),
+                (3, "scrubd", 100),
+                (4, "patrold", 158),
+            ],
+            scrub(100, 400),
+            patrol(158, 8772),
+        ),
+        (18_635_504, 0, vec![(0, "main", 0)], scrub(99, 396), patrol(156, 8719)),
+        (
+            15_642_664,
+            894,
+            vec![(0, "main", 447), (1, "ckptd", 202), (2, "scrubd", 82), (3, "patrold", 163)],
+            scrub(82, 328),
+            patrol(163, 9381),
+        ),
+    ];
+    let got = [daemon_run(true, true), daemon_run(true, false), daemon_run(false, true)];
+    assert_eq!(got[0], want[0], "OS-mode HSCC with kthreads");
+    assert_eq!(got[1], want[1], "OS-mode HSCC without kthreads");
+    assert_eq!(got[2], want[2], "hardware-only HSCC with kthreads");
 }

@@ -9,7 +9,7 @@
 //!    publishes, write-buffer drains) and noting which boundary each
 //!    checkpoint publish landed on. The workload is a flat *step list*,
 //!    and the golden run captures a [`kindle_sim::MachineSnapshot`] after
-//!    each step into a bounded-retention [`SnapshotPool`];
+//!    each step into a bounded-retention `SnapshotPool`;
 //! 2. for **each** crash point, a machine is *forked* from the nearest
 //!    snapshot at or before the point (falling back to a fresh machine for
 //!    points inside construction/spawn), with a [`PowerCutTrigger`] armed
@@ -1060,7 +1060,7 @@ fn run_integrity_point(
 /// The data-integrity sweep: a grid of (ECP budget × daemons on/off)
 /// points, each seeding `stuck` stuck cells under *data* frames and
 /// verifying the checksum-patrol/poison/graceful-degradation contract (see
-/// [`run_integrity_point`]'s contract list). Equal seeds must yield equal
+/// `run_integrity_point`'s contract list). Equal seeds must yield equal
 /// digests regardless of worker count (`run.jobs = 1` is the exact serial
 /// loop); the grid's own fault model wins over `run.faults`. The two
 /// strategies must produce identical outcomes: the snapshot-fork arm runs

@@ -252,7 +252,8 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`KindleError::BadPhysAddr`] for addresses outside the map.
+    /// Returns [`kindle_types::KindleError::BadPhysAddr`] for addresses
+    /// outside the map.
     pub fn kind_of(&self, pa: PhysAddr) -> Result<MemKind> {
         self.layout.kind_of(pa)
     }
@@ -768,7 +769,8 @@ impl MemoryController {
     /// write banks land partially, torn at the 8-byte atomic persist
     /// granularity (`rng` picks how many words made it). Requires
     /// [`arm_power_cut`](Self::arm_power_cut) for the write-buffer tracking
-    /// to have been maintained; without it this degrades to [`crash`].
+    /// to have been maintained; without it this degrades to
+    /// [`crash`](Self::crash).
     pub fn crash_torn(&mut self, rng: &mut Rng64) {
         self.check_cut();
         let pending =

@@ -54,7 +54,7 @@ pub use layout::{NvmLayout, Region};
 pub use meta::MetaRecord;
 pub use pagetable::{AddressSpace, PtMode};
 pub use process::{ProcState, Process};
-pub use sched::{DaemonKind, KThread, KThreadKind, Scheduler, ThreadState};
+pub use sched::{DaemonKind, KThread, Scheduler, ThreadState};
 pub use scrub::{
     PatrolPassOutcome, PatrolState, PatrolStats, ScrubPassOutcome, ScrubState, ScrubStats,
     PATROL_BATCH_FRAMES,

@@ -1,13 +1,15 @@
 //! Simulated kernel threads and the round-robin scheduler.
 //!
 //! The paper's evaluation interleaves application progress with background
-//! kernel work — checkpoint flushes and HSCC migration passes — on the same
+//! kernel work — checkpoint flushes and HSCC migration passes, plus
+//! Kindle-rs's page-table scrubs and data-frame patrols — on the same
 //! machine. We model that with a small, fully deterministic kthread table:
 //! thread 0 is the main simulation context (application + syscalls) and
-//! daemons are spawned at boot. `kindle_sim::Machine::step` asks
-//! [`Scheduler::pick_next`] which thread runs, charges the configured
-//! `kthread_switch` cost on every actual switch, and publishes the running
-//! thread id to the sanitizer layer so the [`race
+//! one kthread per configured [`DaemonKind`] is spawned at boot.
+//! `kindle_sim::Machine::step` asks [`Scheduler::pick_next`] which thread
+//! runs, charges the configured `kthread_switch` cost on every actual
+//! switch, and publishes the running thread id to the sanitizer layer so
+//! the [`race
 //! detector`](kindle_types::sanitize::Violation::RacyNvmWrite) can attribute
 //! NVM writes to threads.
 //!
@@ -20,37 +22,38 @@
 
 use kindle_types::sanitize::ThreadId;
 
-/// What a simulated kernel thread does when dispatched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KThreadKind {
-    /// The main simulation context: application accesses and syscalls.
-    Main,
-    /// Background checkpoint daemon (drives `CheckpointEngine::tick`).
-    CheckpointDaemon,
-    /// Background HSCC migration daemon (drives `HsccEngine::migrate`).
-    MigrationDaemon,
-    /// Background NVM page-table scrub daemon (read-verifies PT frames).
-    ScrubDaemon,
-    /// Background NVM data-frame patrol daemon (checksum-verifies the
-    /// general pool, heals through ECP or poisons the page).
-    PatrolDaemon,
-}
-
-/// A background kernel service that experiments can opt in through
-/// `MachineConfig::with_daemon`. The machine resolves each kind to a
-/// `KernelDaemon` dispatcher (in `kindle_sim`) and registers its kthread
-/// via [`Scheduler::register_daemon`]; a kind whose engine is not
-/// configured (e.g. `Checkpoint` without checkpointing) is skipped.
+/// A background kernel daemon. The machine registers one kthread per
+/// kind whose engine is configured, in declaration order, via
+/// [`Scheduler::register_daemon`]; without kthreads a due pass runs inline
+/// from the timer loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DaemonKind {
-    /// `ckptd`: periodic checkpoint flushes.
+    /// `ckptd`: periodic checkpoint flushes (`CheckpointEngine::tick`).
     Checkpoint,
-    /// `migrated`: HSCC migration passes (OS mode only).
+    /// `migrated`: HSCC migration passes (`HsccEngine::migrate`), OS mode
+    /// only.
     Migration,
     /// `scrubd`: periodic NVM page-table scrub/verify passes.
     Scrub,
-    /// `patrold`: periodic data-frame patrol over the general NVM pool.
+    /// `patrold`: periodic data-frame patrol over the general NVM pool
+    /// (checksum-verifies, heals through ECP or poisons the page).
     Patrol,
+}
+
+impl DaemonKind {
+    /// Every kind, in registration order.
+    pub const ALL: [DaemonKind; 4] =
+        [DaemonKind::Checkpoint, DaemonKind::Migration, DaemonKind::Scrub, DaemonKind::Patrol];
+
+    /// Thread-table name.
+    pub fn name(self) -> &'static str {
+        match self {
+            DaemonKind::Checkpoint => "ckptd",
+            DaemonKind::Migration => "migrated",
+            DaemonKind::Scrub => "scrubd",
+            DaemonKind::Patrol => "patrold",
+        }
+    }
 }
 
 /// Run state of a simulated kernel thread.
@@ -69,8 +72,9 @@ pub struct KThread {
     pub tid: ThreadId,
     /// Human-readable name (reports, violation messages).
     pub name: &'static str,
-    /// What the machine does when this thread is dispatched.
-    pub kind: KThreadKind,
+    /// The daemon this thread runs; `None` for the main simulation context
+    /// (application accesses and syscalls).
+    pub daemon: Option<DaemonKind>,
     /// Current run state.
     pub state: ThreadState,
     /// Times this thread has been dispatched.
@@ -98,7 +102,7 @@ impl Scheduler {
             threads: vec![KThread {
                 tid: ThreadId::MAIN,
                 name: "main",
-                kind: KThreadKind::Main,
+                daemon: None,
                 state: ThreadState::Runnable,
                 runs: 0,
             }],
@@ -107,24 +111,29 @@ impl Scheduler {
         }
     }
 
-    /// Registers a daemon kthread in the table — the single entry point
-    /// through which every background daemon (ckptd, migrated, scrubd)
-    /// gets a scheduling context. It starts [`ThreadState::Sleeping`];
-    /// wake it to make it dispatchable. Returns its id.
-    pub fn register_daemon(&mut self, name: &'static str, kind: KThreadKind) -> ThreadId {
+    /// Registers a kthread for daemon `kind`, named [`DaemonKind::name`].
+    /// It starts [`ThreadState::Sleeping`]; wake it to make it
+    /// dispatchable. Returns its id.
+    pub fn register_daemon(&mut self, kind: DaemonKind) -> ThreadId {
         let tid = ThreadId(u32::try_from(self.threads.len()).unwrap_or(u32::MAX));
-        self.threads.push(KThread { tid, name, kind, state: ThreadState::Sleeping, runs: 0 });
+        self.threads.push(KThread {
+            tid,
+            name: kind.name(),
+            daemon: Some(kind),
+            state: ThreadState::Sleeping,
+            runs: 0,
+        });
         tid
+    }
+
+    /// The kthread registered for daemon `kind`, if any.
+    pub fn daemon_tid(&self, kind: DaemonKind) -> Option<ThreadId> {
+        self.threads.iter().find(|t| t.daemon == Some(kind)).map(|t| t.tid)
     }
 
     /// The running thread's id.
     pub fn current(&self) -> ThreadId {
         self.threads[self.current].tid
-    }
-
-    /// The running thread's kind.
-    pub fn current_kind(&self) -> KThreadKind {
-        self.threads[self.current].kind
     }
 
     /// Total context switches performed so far.
@@ -197,7 +206,7 @@ mod tests {
     fn new_has_runnable_main() {
         let s = Scheduler::new();
         assert_eq!(s.current(), ThreadId::MAIN);
-        assert_eq!(s.current_kind(), KThreadKind::Main);
+        assert_eq!(s.threads()[0].daemon, None);
         assert_eq!(s.pick_next(), ThreadId::MAIN);
         assert_eq!(s.switches(), 0);
     }
@@ -205,8 +214,11 @@ mod tests {
     #[test]
     fn spawned_daemons_sleep_until_woken() {
         let mut s = Scheduler::new();
-        let ckpt = s.register_daemon("ckptd", KThreadKind::CheckpointDaemon);
+        let ckpt = s.register_daemon(DaemonKind::Checkpoint);
         assert_eq!(ckpt, ThreadId(1));
+        assert_eq!(s.thread(ckpt).map(|t| t.name), Some("ckptd"));
+        assert_eq!(s.daemon_tid(DaemonKind::Checkpoint), Some(ckpt));
+        assert_eq!(s.daemon_tid(DaemonKind::Scrub), None);
         assert_eq!(s.pick_next(), ThreadId::MAIN, "sleeping daemon must not be picked");
         s.wake(ckpt);
         assert_eq!(s.pick_next(), ckpt);
@@ -215,8 +227,8 @@ mod tests {
     #[test]
     fn round_robin_cycles_runnable_threads() {
         let mut s = Scheduler::new();
-        let a = s.register_daemon("a", KThreadKind::CheckpointDaemon);
-        let b = s.register_daemon("b", KThreadKind::MigrationDaemon);
+        let a = s.register_daemon(DaemonKind::Checkpoint);
+        let b = s.register_daemon(DaemonKind::Migration);
         s.wake(a);
         s.wake(b);
         let first = s.pick_next();
@@ -232,7 +244,7 @@ mod tests {
     #[test]
     fn sleep_returns_control_to_main() {
         let mut s = Scheduler::new();
-        let a = s.register_daemon("a", KThreadKind::CheckpointDaemon);
+        let a = s.register_daemon(DaemonKind::Checkpoint);
         s.wake(a);
         s.switch_to(s.pick_next());
         assert_eq!(s.current(), a);
@@ -265,7 +277,7 @@ mod tests {
     #[test]
     fn runs_counted_per_dispatch() {
         let mut s = Scheduler::new();
-        let a = s.register_daemon("a", KThreadKind::CheckpointDaemon);
+        let a = s.register_daemon(DaemonKind::Checkpoint);
         for _ in 0..3 {
             s.wake(a);
             s.switch_to(a);

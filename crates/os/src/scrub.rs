@@ -16,8 +16,9 @@
 //! content-preservingly ([`ScrubRetire`]), reusing the wear-out remap path.
 //!
 //! This module holds the daemon's engine state (schedule + counters); the
-//! verify pass itself is `Kernel::scrub_pt_frames`, and dispatch happens on
-//! the `scrubd` kthread registered through `Scheduler::register_daemon`.
+//! verify pass itself is `Kernel::scrub_pt_frames`. The machine dispatches
+//! it as [`DaemonKind::Scrub`](crate::DaemonKind::Scrub): on the `scrubd`
+//! kthread when kthreads are on, inline from the timer loop otherwise.
 //!
 //! Patrold is scrubd's sibling for *data* frames: where scrubd verifies
 //! page tables against the kernel's shadow metadata, patrold walks the

@@ -3,7 +3,7 @@
 use kindle_cache::HierarchyConfig;
 use kindle_hscc::HsccConfig;
 use kindle_mem::{Backend, MediaFaultConfig, MemConfig};
-use kindle_os::{DaemonKind, KernelCosts, PtMode};
+use kindle_os::{KernelCosts, PtMode};
 use kindle_ssp::SspConfig;
 use kindle_tlb::TwoLevelTlbConfig;
 use kindle_types::Cycles;
@@ -46,28 +46,21 @@ pub struct MachineConfig {
     /// "hardware migration activities only" baseline).
     pub hscc_os_mode: bool,
     /// Run background engine work (checkpoint flushes, HSCC migration,
-    /// page-table scrubbing) on simulated kernel daemon threads scheduled
-    /// by `Machine::step`, with the `kthread_switch` cost charged per
-    /// dispatch. Off by default: single-threaded runs stay byte-identical
-    /// to pre-scheduler builds.
+    /// page-table scrubs, data-frame patrols) on simulated kernel daemon
+    /// threads scheduled by `Machine::step`, one per configured engine,
+    /// with the `kthread_switch` cost charged per dispatch. Off by
+    /// default: the work then runs inline from the timer loop, and
+    /// single-threaded runs stay byte-identical to pre-scheduler builds.
     pub kthreads: bool,
-    /// Background daemons the machine registers (see `Machine` and the
-    /// daemon registry). A listed daemon only gets a kthread when
-    /// `kthreads` is on and its engine is configured; its work runs inline
-    /// from the timer loop otherwise.
-    pub daemons: Vec<DaemonKind>,
     /// Scrub daemon schedule: `Some(interval)` arms periodic page-table
     /// read-verify against the kernel's shadow metadata (usually set via
-    /// [`MachineConfig::with_daemon`]).
+    /// [`MachineConfig::with_scrub_interval`]).
     pub scrub_interval: Option<Cycles>,
     /// Patrol daemon schedule: `Some(interval)` arms periodic checksum
     /// verification of general-pool NVM data frames (usually set via
-    /// [`MachineConfig::with_daemon`]).
+    /// [`MachineConfig::with_patrol_interval`]).
     pub patrol_interval: Option<Cycles>,
 }
-
-/// Default scrubd period (one pass per simulated millisecond).
-pub const DEFAULT_SCRUB_INTERVAL: Cycles = Cycles::from_millis(1);
 
 /// Default patrold period. Each batch verifies a bounded slice of the pool
 /// (`kindle_os::PATROL_BATCH_FRAMES`), so the period is shorter than
@@ -88,7 +81,6 @@ impl MachineConfig {
             hscc: None,
             hscc_os_mode: true,
             kthreads: false,
-            daemons: vec![DaemonKind::Checkpoint, DaemonKind::Migration],
             scrub_interval: None,
             patrol_interval: None,
         }
@@ -145,32 +137,16 @@ impl MachineConfig {
         self
     }
 
-    /// Adds a background daemon to the registry. Adding
-    /// [`DaemonKind::Scrub`] or [`DaemonKind::Patrol`] also arms that
-    /// engine at its default interval unless one is already set.
-    pub fn with_daemon(mut self, kind: DaemonKind) -> Self {
-        if !self.daemons.contains(&kind) {
-            self.daemons.push(kind);
-        }
-        if kind == DaemonKind::Scrub && self.scrub_interval.is_none() {
-            self.scrub_interval = Some(DEFAULT_SCRUB_INTERVAL);
-        }
-        if kind == DaemonKind::Patrol && self.patrol_interval.is_none() {
-            self.patrol_interval = Some(DEFAULT_PATROL_INTERVAL);
-        }
-        self
-    }
-
     /// Arms the scrub daemon with an explicit pass interval.
     pub fn with_scrub_interval(mut self, interval: Cycles) -> Self {
         self.scrub_interval = Some(interval);
-        self.with_daemon(DaemonKind::Scrub)
+        self
     }
 
     /// Arms the patrol daemon with an explicit batch interval.
     pub fn with_patrol_interval(mut self, interval: Cycles) -> Self {
         self.patrol_interval = Some(interval);
-        self.with_daemon(DaemonKind::Patrol)
+        self
     }
 }
 

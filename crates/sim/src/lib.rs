@@ -26,15 +26,12 @@
 //! ```
 
 pub mod config;
-pub mod daemon;
+mod daemon;
 pub mod hw;
 pub mod machine;
 pub mod report;
 
-pub use config::{
-    CheckpointSetup, MachineConfig, RunSettings, DEFAULT_PATROL_INTERVAL, DEFAULT_SCRUB_INTERVAL,
-};
-pub use daemon::{CheckpointDaemon, KernelDaemon, MigrationDaemon, PatrolDaemon, ScrubDaemon};
+pub use config::{CheckpointSetup, MachineConfig, RunSettings, DEFAULT_PATROL_INTERVAL};
 pub use hw::Hw;
 pub use machine::{Machine, MachineSnapshot, ReplayOptions, ReplayReport};
 pub use report::SimReport;

@@ -1,13 +1,11 @@
 //! The full simulated machine.
 
-use std::rc::Rc;
-
 use kindle_cpu::Activity;
 use kindle_hscc::HsccEngine;
 use kindle_mem::{Backend, NvmConfig, PatrolOutcome, PowerSwitch};
 use kindle_os::{
-    DaemonKind, IntegrityOutcome, KThreadKind, Kernel, KernelConfig, PatrolPassOutcome,
-    PatrolState, RetireOutcome, ScrubState, UnmapOutcome, PATROL_BATCH_FRAMES,
+    DaemonKind, IntegrityOutcome, Kernel, KernelConfig, PatrolPassOutcome, PatrolState,
+    RetireOutcome, ScrubState, UnmapOutcome, PATROL_BATCH_FRAMES,
 };
 use kindle_persist::{recover_all, CheckpointEngine, RecoveryReport};
 use kindle_ssp::SspEngine;
@@ -20,7 +18,7 @@ use kindle_types::{
 };
 
 use crate::config::MachineConfig;
-use crate::daemon::{self, DaemonSlot, KernelDaemon};
+use crate::daemon;
 use crate::hw::Hw;
 use crate::report::SimReport;
 
@@ -87,9 +85,6 @@ pub struct Machine {
     /// Process whose translations currently occupy the TLB (no ASIDs, as
     /// in gemOS: a context switch flushes).
     active_pid: Option<u32>,
-    /// Registered background daemons (see [`crate::daemon`]); each carries
-    /// its kthread id when `kthreads` is on and its engine is configured.
-    daemons: Vec<DaemonSlot>,
 }
 
 impl Machine {
@@ -140,54 +135,37 @@ impl Machine {
             patrol,
             tlb_shootdowns: 0,
             active_pid: None,
-            daemons: Vec::new(),
         };
         m.register_daemons();
         Ok(m)
     }
 
-    /// Builds the daemon registry from the configured kinds and, when
-    /// `kthreads` is on, registers each enabled daemon's kthread with the
-    /// scheduler. A daemon whose engine is absent (or that runs without
-    /// kthreads) keeps `tid = None` and is dispatched inline from the
-    /// timer loop instead.
+    /// When `kthreads` is on, registers a kthread for every daemon whose
+    /// engine is configured, in [`DaemonKind::ALL`] order. Without a
+    /// kthread a daemon's passes run inline from the timer loop.
     fn register_daemons(&mut self) {
         sanitize::set_current_thread(ThreadId::MAIN);
-        let kinds = self.cfg.daemons.clone();
-        let mut slots = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            let daemon = daemon::builtin(kind);
-            let tid = (self.cfg.kthreads && daemon.enabled(self))
-                .then(|| self.kernel.sched.register_daemon(daemon.name(), daemon.thread_kind()));
-            slots.push(DaemonSlot { kind, daemon, tid });
+        if !self.cfg.kthreads {
+            return;
         }
-        self.daemons = slots;
-    }
-
-    /// The registered daemon of `kind`, with its kthread id if any.
-    fn daemon_slot(&self, kind: DaemonKind) -> Option<(Rc<dyn KernelDaemon>, Option<ThreadId>)> {
-        self.daemons.iter().find(|s| s.kind == kind).map(|s| (s.daemon.clone(), s.tid))
-    }
-
-    /// The kthread id registered for daemon `kind`, if any.
-    fn daemon_tid(&self, kind: DaemonKind) -> Option<ThreadId> {
-        self.daemons.iter().find(|s| s.kind == kind).and_then(|s| s.tid)
+        for kind in DaemonKind::ALL {
+            if daemon::enabled(self, kind) {
+                self.kernel.sched.register_daemon(kind);
+            }
+        }
     }
 
     /// Dispatches one due pass of daemon `kind`: on its kthread when one is
     /// registered (wake + drive the scheduler until daemons drain), inline
     /// on the current context otherwise.
     fn dispatch_daemon(&mut self, kind: DaemonKind, pid: u32) -> Result<()> {
-        match self.daemon_slot(kind) {
-            Some((_, Some(tid))) => {
+        match self.kernel.sched.daemon_tid(kind) {
+            Some(tid) => {
                 self.kernel.sched.wake(tid);
                 while self.step(pid)? {}
                 Ok(())
             }
-            Some((daemon, None)) => daemon.run(self, pid),
-            // Not in the registry (e.g. an engine armed without its daemon
-            // kind configured): still run the work inline.
-            None => daemon::builtin(kind).run(self, pid),
+            None => daemon::run(self, kind, pid),
         }
     }
 
@@ -219,21 +197,16 @@ impl Machine {
     /// Propagates engine failures from the dispatched daemon.
     pub fn step(&mut self, pid: u32) -> Result<bool> {
         let next = self.kernel.sched.pick_next();
-        let kind = match self.kernel.sched.thread(next) {
-            Some(t) => t.kind,
-            None => return Ok(false),
+        let Some(daemon) = self.kernel.sched.thread(next).map(|t| t.daemon) else {
+            return Ok(false);
         };
         self.context_switch_to(next);
-        if kind == KThreadKind::Main {
+        let Some(kind) = daemon else {
             return Ok(false);
-        }
-        let daemon =
-            self.daemons.iter().find(|s| s.daemon.thread_kind() == kind).map(|s| s.daemon.clone());
+        };
         let mut result = Ok(());
-        if let Some(daemon) = daemon {
-            if daemon.due(self) {
-                result = daemon.run(self, pid);
-            }
+        if daemon::due(self, kind) {
+            result = daemon::run(self, kind, pid);
         }
         self.kernel.sched.sleep(next);
         result?;
@@ -917,8 +890,6 @@ impl Machine {
         }
         // The fresh kernel rebuilt the thread table; re-register daemons
         // and drop back to the main context.
-        self.daemons.clear();
-        sanitize::set_current_thread(ThreadId::MAIN);
         self.register_daemons();
         Ok(())
     }
@@ -961,7 +932,7 @@ impl Machine {
         }
         // With kthreads on, even explicit checkpoints execute on the
         // daemon's context, so their NVM writes carry its thread id.
-        if let Some(tid) = self.daemon_tid(DaemonKind::Checkpoint) {
+        if let Some(tid) = self.kernel.sched.daemon_tid(DaemonKind::Checkpoint) {
             self.kernel.sched.wake(tid);
             self.context_switch_to(tid);
             let mut r = Ok(());
@@ -992,8 +963,8 @@ impl Machine {
     /// Captures a deep, deterministic snapshot of the whole machine:
     /// hardware pools and data image, caches, TLBs, page tables (they live
     /// in the memory image), redo log and checkpoint area, kernel +
-    /// scheduler + daemon registry, and checksum/scrub/patrol state. The
-    /// config travels with it.
+    /// scheduler (with the daemons' kthreads), and checksum/scrub/patrol
+    /// state. The config travels with it.
     ///
     /// The copy never carries power-cut wiring: a restored machine arms its
     /// own fresh [`PowerSwitch`] if it wants one. Cloning touches no
@@ -1016,7 +987,6 @@ impl Machine {
             patrol: self.patrol.clone(),
             tlb_shootdowns: self.tlb_shootdowns,
             active_pid: self.active_pid,
-            daemons: self.daemons.iter().map(|s| (s.kind, s.tid)).collect(),
         }
     }
 
@@ -1042,11 +1012,6 @@ impl Machine {
             patrol: snap.patrol.clone(),
             tlb_shootdowns: snap.tlb_shootdowns,
             active_pid: snap.active_pid,
-            daemons: snap
-                .daemons
-                .iter()
-                .map(|&(kind, tid)| DaemonSlot { kind, daemon: daemon::builtin(kind), tid })
-                .collect(),
         };
         sanitize::set_current_thread(m.kernel.sched.current());
         m
@@ -1057,11 +1022,10 @@ impl Machine {
 /// [`Machine::snapshot`] and turned back into a live machine by
 /// [`Machine::restore`].
 ///
-/// Daemon implementations are stateless unit structs behind `Rc`, so the
-/// snapshot records only each slot's `(kind, tid)` and rebuilds the
-/// implementations at restore — that (plus the atomic power switch) is what
-/// keeps the whole capture `Send + Sync`, letting one snapshot pool be
-/// shared by reference across `par_map` sweep workers.
+/// The daemons' kthread ids live in the kernel's scheduler, so the capture
+/// holds only plain data (plus the atomic power switch) and is
+/// `Send + Sync`: one snapshot pool is shared by reference across
+/// `par_map` sweep workers.
 #[derive(Clone, Debug)]
 pub struct MachineSnapshot {
     cfg: MachineConfig,
@@ -1077,7 +1041,6 @@ pub struct MachineSnapshot {
     patrol: Option<PatrolState>,
     tlb_shootdowns: u64,
     active_pid: Option<u32>,
-    daemons: Vec<(DaemonKind, Option<ThreadId>)>,
 }
 
 // Snapshots cross fork-join worker boundaries by shared reference, so the

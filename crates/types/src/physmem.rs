@@ -16,9 +16,9 @@ use crate::{AccessKind, Cycles, PhysAddr, CACHE_LINE, LINES_PER_PAGE, PAGE_SIZE}
 ///
 /// * data written with [`write_u64`](PhysMem::write_u64)/[`write_bytes`](PhysMem::write_bytes)
 ///   is readable back until overwritten;
-/// * NVM contents become durable (survive [`crash`](PhysMem::crash)-like
-///   events) only once the containing cache line has been written back, either
-///   by eviction or an explicit [`clwb`](PhysMem::clwb);
+/// * NVM contents become durable (survive crash-like events) only once
+///   the containing cache line has been written back, either by eviction
+///   or an explicit [`clwb`](PhysMem::clwb);
 /// * every method advances the simulated clock by the modelled latency.
 pub trait PhysMem {
     /// Charges the timing of one cache-line access at `pa` without moving

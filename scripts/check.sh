@@ -26,6 +26,10 @@ cp "$lock_backup" perfbench/Cargo.lock
 rm -f "$lock_backup"
 [ "$status" -eq 0 ]
 
+echo "== rustdoc builds without warnings =="
+# A deleted or private name left in a doc link fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tests (workspace) =="
 cargo test --workspace -q
 

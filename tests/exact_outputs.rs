@@ -9,14 +9,15 @@
 //! fold every observable of every crash point; the exhaustive stride-1
 //! sweep is pinned in release builds. The stride-199 sweep's
 //! snapshot-pool telemetry is pinned too, as are every registry backend's
-//! far-tier parameters and its quick backend-grid row, and three runs with
-//! all four kernel daemons armed.
+//! far-tier parameters and its quick backend-grid row, three runs with all
+//! four kernel daemons armed, and a crash and reboot of one of them.
 
 use kindle::experiments::{run_backend_grid, run_fig4a, BackendGridParams, Fig4aParams};
 use kindle::mem::{Backend, MediaFaultConfig, MemConfig, MemoryController};
 use kindle::os::{PatrolStats, ScrubStats};
 use kindle::prelude::{
     AccessKind, Cycles, HsccConfig, Machine, MachineConfig, MapFlags, MemKind, Prot, PtMode,
+    VirtAddr,
 };
 use kindle::sim::RunSettings;
 use kindle::types::PAGE_SIZE;
@@ -337,25 +338,32 @@ fn backend_grid_rows_are_pinned() {
 /// `(tid, name, runs)`, and the scrub and patrol counters.
 type DaemonRun = (u64, u64, Vec<(u32, &'static str, u64)>, ScrubStats, PatrolStats);
 
-/// The threaded workload of `tests/kthreads.rs` on persistent page tables
-/// with all four daemons armed: checkpoints and HSCC scans every 20 µs,
-/// scrubd every 50 µs, patrold every 20 µs.
-fn daemon_run(hscc_os_mode: bool, kthreads: bool) -> DaemonRun {
+/// The daemon machine's config: the threaded workload of
+/// `tests/kthreads.rs` on persistent page tables with all four daemons
+/// armed: checkpoints and HSCC scans every 20 µs, scrubd every 50 µs,
+/// patrold every 20 µs.
+fn daemon_config(hscc_os_mode: bool, kthreads: bool) -> MachineConfig {
     let hscc = HsccConfig {
         fetch_threshold: 3,
         migration_interval: Cycles::from_micros(20),
         pool_pages: 64,
     };
-    let mut cfg = MachineConfig::small()
+    let cfg = MachineConfig::small()
         .with_pt_mode(PtMode::Persistent)
         .with_checkpointing(Cycles::from_micros(20))
         .with_hscc(hscc, hscc_os_mode)
         .with_scrub_interval(Cycles::from_micros(50))
         .with_patrol_interval(Cycles::from_micros(20));
     if kthreads {
-        cfg = cfg.with_kthreads();
+        cfg.with_kthreads()
+    } else {
+        cfg
     }
-    let mut m = Machine::new(cfg).expect("machine boots");
+}
+
+/// The daemon workload: touches 256 NVM pages, reads the first 16 of
+/// them 500 times and checkpoints. Returns the pid and the mapping.
+fn daemon_workload(m: &mut Machine) -> (u32, VirtAddr) {
     let pid = m.spawn_process().expect("spawn");
     let page = PAGE_SIZE as u64;
     let va = m.mmap(pid, 256 * page, Prot::RW, MapFlags::NVM).expect("mmap nvm");
@@ -366,6 +374,10 @@ fn daemon_run(hscc_os_mode: bool, kthreads: bool) -> DaemonRun {
         m.access(pid, va + (round % 16) * page, AccessKind::Read).expect("hot read");
     }
     m.checkpoint_now().expect("checkpoint");
+    (pid, va)
+}
+
+fn daemon_state(m: &Machine) -> DaemonRun {
     let report = m.report();
     let table = m.kernel.sched.threads().iter().map(|t| (t.tid.0, t.name, t.runs)).collect();
     (
@@ -375,6 +387,12 @@ fn daemon_run(hscc_os_mode: bool, kthreads: bool) -> DaemonRun {
         report.scrub.expect("scrubd armed"),
         report.patrol.expect("patrold armed"),
     )
+}
+
+fn daemon_run(hscc_os_mode: bool, kthreads: bool) -> DaemonRun {
+    let mut m = Machine::new(daemon_config(hscc_os_mode, kthreads)).expect("machine boots");
+    daemon_workload(&mut m);
+    daemon_state(&m)
 }
 
 /// Every daemon on its own kthread: OS-mode HSCC with and without
@@ -418,4 +436,75 @@ fn kthread_daemon_runs_are_pinned() {
     assert_eq!(got[0], want[0], "OS-mode HSCC with kthreads");
     assert_eq!(got[1], want[1], "OS-mode HSCC without kthreads");
     assert_eq!(got[2], want[2], "hardware-only HSCC with kthreads");
+}
+
+/// A crash and reboot of the daemon machine, then recovery: which of
+/// ckptd, migrated, scrubd and patrold are due right after the reboot, the
+/// daemon state as in [`DaemonRun`], the TLB shootdowns and the recovered
+/// pids.
+type RebootRun = ([bool; 4], DaemonRun, u64, Vec<u32>);
+
+/// Runs the daemon workload with kthreads and OS-mode HSCC, crashes,
+/// recovers, and continues the recovered process with 200 reads of its
+/// pages and a checkpoint. With `fork`, the crash and continuation run on
+/// a machine restored from a snapshot taken just before the crash.
+fn reboot_run(fork: bool) -> RebootRun {
+    let mut m = Machine::new(daemon_config(true, true)).expect("machine boots");
+    let (pid, va) = daemon_workload(&mut m);
+    if fork {
+        m = Machine::restore(&m.snapshot());
+    }
+    m.crash().expect("reboot");
+    // Recovery outlasts every daemon interval, so the continuation alone
+    // cannot tell where the rebooted schedules start.
+    let now = m.now();
+    let due = [
+        m.persist.as_ref().is_some_and(|e| e.due(now)),
+        m.hscc.as_ref().is_some_and(|e| e.due(now)),
+        m.scrub.as_ref().is_some_and(|s| s.due(now)),
+        m.patrol.as_ref().is_some_and(|s| s.due(now)),
+    ];
+    let recovered = m.recover().expect("recovery").recovered_pids;
+    let page = PAGE_SIZE as u64;
+    for i in 0..200u64 {
+        m.access(pid, va + (i % 64) * page, AccessKind::Read).expect("read after recovery");
+    }
+    m.checkpoint_now().expect("checkpoint after recovery");
+    (due, daemon_state(&m), m.tlb_shootdowns(), recovered)
+}
+
+/// A crash and reboot with the checkpoint and HSCC engines, scrubd and
+/// patrold all armed on kthreads. The reboot rebuilds every engine and
+/// re-registers the daemons, so this pins the boot order, the engines'
+/// deadlines after a reboot (the checkpoint and HSCC engines keep their
+/// absolute first deadline, so both are due at once) and the daemons'
+/// schedules, which restart from the post-crash clock. A snapshot fork
+/// taken just before the crash must reboot to the same values.
+#[test]
+fn reboot_with_all_daemons_is_pinned() {
+    let want: RebootRun = (
+        [true, true, false, false],
+        (
+            19_994_167,
+            26,
+            vec![
+                (0, "main", 13),
+                (1, "ckptd", 5),
+                (2, "migrated", 3),
+                (3, "scrubd", 2),
+                (4, "patrold", 3),
+            ],
+            ScrubStats { passes: 2, frames_clean: 8, ..ScrubStats::default() },
+            PatrolStats {
+                passes: 3,
+                frames_checked: 192,
+                frames_clean: 192,
+                ..PatrolStats::default()
+            },
+        ),
+        0,
+        vec![1],
+    );
+    assert_eq!(reboot_run(false), want, "crash and reboot");
+    assert_eq!(reboot_run(true), want, "crash and reboot of a snapshot fork");
 }

@@ -14,7 +14,7 @@ fn main() -> Result<()> {
     let geometry = far.timing();
     println!("TABLE I: gem5-analog Memory Configuration");
     rule(52);
-    println!("{:<28} {}", "Parameter", "Used Setting");
+    println!("{:<28} Used Setting", "Parameter");
     rule(52);
     println!("{:<28} DDR4-2400 ({} banks)", "DRAM interface", cfg.mem.dram.banks);
     println!(

@@ -68,8 +68,7 @@ pub fn inline_allowed(diag: &Diagnostic, source: &str) -> bool {
     let lines: Vec<&str> = source.lines().collect();
     let here = diag.line.checked_sub(1).and_then(|i| lines.get(i).copied());
     let above = diag.line.checked_sub(2).and_then(|i| lines.get(i).copied());
-    let hit = [here, above].into_iter().flatten().any(|l| has_allow_comment(l, diag.rule));
-    hit
+    [here, above].into_iter().flatten().any(|l| has_allow_comment(l, diag.rule))
 }
 
 fn has_allow_comment(line: &str, rule: &str) -> bool {

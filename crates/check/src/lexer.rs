@@ -215,8 +215,7 @@ impl<'a> Lexer<'a> {
 
     fn number(&mut self, line: usize) {
         let start = self.pos;
-        loop {
-            let Some(b) = self.peek(0) else { break };
+        while let Some(b) = self.peek(0) {
             if is_ident_continue(b) {
                 self.bump();
             } else if b == b'.' && self.peek(1).is_some_and(|d| d.is_ascii_digit()) {

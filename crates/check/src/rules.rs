@@ -267,9 +267,9 @@ fn cycles_new_arithmetic(tokens: &[Token<'_>], mut i: usize) -> Option<usize> {
             depth += 1;
         } else if t.is_punct(')') {
             depth -= 1;
-        } else if t.is_punct('+') {
-            return Some(t.line);
-        } else if t.is_punct('-') && !tokens.get(i + 1).is_some_and(|n| n.is_punct('>')) {
+        } else if t.is_punct('+')
+            || (t.is_punct('-') && !tokens.get(i + 1).is_some_and(|n| n.is_punct('>')))
+        {
             return Some(t.line);
         }
         i += 1;

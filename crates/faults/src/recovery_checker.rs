@@ -134,7 +134,8 @@ impl Sanitizer for RecoveryChecker {
                 self.applied.clear();
             }
             Event::CheckpointPublish { lo, copy, .. } => {
-                if self.last_copy.insert(lo, copy) == Some(copy) {
+                let previous = self.last_copy.insert(lo, copy);
+                if previous == Some(copy) {
                     self.log.push(RecoveryViolation::RepublishedSameCopy { slot: lo, copy });
                 }
             }
@@ -144,10 +145,8 @@ impl Sanitizer for RecoveryChecker {
             Event::FrameFree { pfn, .. } | Event::FrameRetired { pfn, .. } => {
                 self.live.remove(&pfn);
             }
-            Event::PteInstall { pfn, vpn } => {
-                if self.crashed && !self.live.contains(&pfn) {
-                    self.log.push(RecoveryViolation::PteIntoUnrecoveredFrame { pfn, vpn });
-                }
+            Event::PteInstall { pfn, vpn } if self.crashed && !self.live.contains(&pfn) => {
+                self.log.push(RecoveryViolation::PteIntoUnrecoveredFrame { pfn, vpn });
             }
             Event::LogApply { seq } => {
                 if seq == 0 {

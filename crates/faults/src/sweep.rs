@@ -386,7 +386,7 @@ impl SnapshotPool {
 
     fn offer(&mut self, rec: SnapshotRecord) {
         self.offered += 1;
-        if rec.step % self.stride != 0 {
+        if !rec.step.is_multiple_of(self.stride) {
             return;
         }
         self.records.push(rec);

@@ -14,6 +14,9 @@
 //!   observes the corrupt bytes;
 //! * budget 0, unmapped frame — no owner to kill: the frame is retired
 //!   in place, content preserved;
+//! * a store past the budget, no patrold — the controller queues the
+//!   failed frame, and the next timer poll finds its content lost and
+//!   poisons it as patrold would;
 //! * budget 0, no patrold — the pre-patrold failure mode: the
 //!   application consumes silently corrupted data, and the new
 //!   `DataReadFromUncorrectedLine` invariant is the only witness.
@@ -174,6 +177,54 @@ fn exhausted_budget_poisons_the_page_and_kills_the_owner() {
     m.access(driver, dva, AccessKind::Read).unwrap();
     let violations = ic_log.take();
     assert!(violations.is_empty(), "no read ever consumed the corrupt line: {violations:?}");
+}
+
+#[test]
+fn failed_frame_with_lost_content_is_poisoned_on_the_next_poll() {
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let ic = InvariantChecker::new();
+    let ic_log = ic.log();
+    let _guard = sanitize::install(Box::new(Recorder { ic, events: events.clone() }));
+
+    // One ECP entry per line and no patrold: only the controller's
+    // failed-frame queue can notice the loss.
+    let mut m = Machine::new(cfg(1, false)).unwrap();
+    let victim = m.spawn_process().unwrap();
+    let driver = m.spawn_process().unwrap();
+    let (_va, pfn, shadow) = fill_page(&mut m, victim);
+    let dva = m.mmap(driver, PAGE_SIZE as u64, Prot::RW, MapFlags::EMPTY).unwrap();
+    // Two cells stuck at 1 under bits the stored word holds at 0: one
+    // more than the line's budget.
+    let line = pfn.base().as_u64() + 3 * 64;
+    let media = m.hw.mc.media_mut().unwrap();
+    assert!(media.add_stuck_cell(line, 0, true) && media.add_stuck_cell(line, 1, true));
+    assert_eq!(shadow[24] & 3, 0);
+
+    // The store exhausts the budget and queues the frame; the next poll
+    // finds its content lost and takes the poison path.
+    m.hw.write_u64(pfn.base() + 3 * 64, shadow[24]);
+    assert!(m.kernel.process(victim).is_ok(), "nothing happens before a poll");
+    m.access(driver, dva, AccessKind::Write).unwrap();
+
+    assert!(m.kernel.process(victim).is_err(), "the owner must die");
+    assert_eq!(m.kernel.stats().pages_poisoned, 1);
+    assert_eq!(m.kernel.stats().procs_killed, 1);
+    assert!(m.kernel.pools.nvm.is_allocated(pfn), "poisoned frame never re-enters the pool");
+    let evs = events.borrow();
+    assert!(
+        evs.iter().any(|e| matches!(e, Event::PagePoison { pfn: p, .. } if *p == pfn.as_u64())),
+        "PagePoison for the lost frame must be published"
+    );
+    assert!(
+        evs.iter().any(|e| matches!(
+            e,
+            Event::ProcessKilled { pid, reason: KillReason::MemoryPoison } if *pid == victim
+        )),
+        "the kill must carry the MemoryPoison reason"
+    );
+    drop(evs);
+    let violations = ic_log.take();
+    assert!(violations.is_empty(), "sanitizer violations: {violations:?}");
 }
 
 #[test]

@@ -454,7 +454,7 @@ fn append_cell(e: u64, cell: u64) -> u64 {
 fn decode_cells(e: u64) -> impl Iterator<Item = (u32, bool)> {
     (0..CELLS_PER_LINE).filter_map(move |slot| {
         let s = (e >> (16 * slot)) & 0xffff;
-        (s & 0x8000 != 0).then(|| ((s & 0x1ff) as u32, (s >> 14) & 1 == 1))
+        (s & 0x8000 != 0).then_some(((s & 0x1ff) as u32, (s >> 14) & 1 == 1))
     })
 }
 
@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn wear_out_is_permanent_and_deterministic() {
         let cfg = MediaFaultConfig { wear_limit: 64, ..MediaFaultConfig::with_seed(7) };
-        let mut a = MediaFaults::new(cfg.clone(), 0, 1 << 20);
+        let mut a = MediaFaults::new(cfg, 0, 1 << 20);
         let mut b = MediaFaults::new(cfg, 0, 1 << 20);
         let mut first_fail = None;
         for i in 0..200u64 {

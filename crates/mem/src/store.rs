@@ -273,8 +273,14 @@ impl UndoTable {
         Some(self.image(&self.entries[pos]))
     }
 
+    /// Live snapshots held.
     pub fn len(&self) -> usize {
         self.live
+    }
+
+    /// True when no live snapshot is held.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
     }
 
     /// Records in the list (live and tombstoned) and non-zero images
@@ -439,7 +445,7 @@ mod tests {
             vec![(line(0), 0), (line(2), 9), (line(7), 7)],
             "drain is ascending by line with the live images"
         );
-        assert_eq!(t.len(), 0);
+        assert!(t.is_empty());
         assert!(!t.contains(line(0)), "epoch bump forgets old slots");
         t.insert_absent(line(1), [1; 64]);
         t.insert_absent(line(3), [3; 64]);

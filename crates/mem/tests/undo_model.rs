@@ -86,7 +86,7 @@ fn undo_table_matches_an_ordered_map() {
         }
         let (after, images) = table.footprint();
         assert!(images <= after, "op {op}: {images} images for {after} records");
-        if after < records && table.len() > 0 {
+        if after < records && !table.is_empty() {
             compactions += 1;
         }
     }

@@ -34,7 +34,7 @@ impl FrameAllocator {
             count,
             next: 0,
             free: Vec::new(),
-            bitmap: vec![0u64; ((count + 63) / 64) as usize],
+            bitmap: vec![0u64; count.div_ceil(64) as usize],
             allocated: 0,
         }
     }

@@ -33,16 +33,6 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    /// Config over an existing memory map with default costs.
-    pub fn new(memory_map: E820Map, pt_mode: PtMode) -> Self {
-        KernelConfig {
-            memory_map,
-            pt_mode,
-            costs: KernelCosts::default(),
-            dram_reserved_frames: 256,
-        }
-    }
-
     /// Small split-in-half map with cheap costs for unit tests.
     pub fn for_test(total_bytes: u64) -> Self {
         let half = (total_bytes / 2) & !(PAGE_SIZE as u64 - 1);

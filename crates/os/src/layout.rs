@@ -68,7 +68,7 @@ impl NvmLayout {
         let mut cursor = nvm.base;
         let mut take = |size: u64| {
             let r = Region { base: cursor, size };
-            cursor = cursor + size;
+            cursor += size;
             r
         };
         let (bitmap_sz, log_sz, meta_sz, saved_sz, ssp_sz, align) = if full {

@@ -74,7 +74,7 @@ pub struct ScrubStats {
 }
 
 /// Schedule + counters for the scrub daemon (held by the machine, rebuilt
-/// on reboot like the other engines).
+/// at every boot like the other engines).
 #[derive(Clone, Debug)]
 pub struct ScrubState {
     interval: Cycles,
@@ -83,20 +83,16 @@ pub struct ScrubState {
 }
 
 impl ScrubState {
-    /// An engine that first fires one full `interval` after boot.
-    pub fn new(interval: Cycles) -> Self {
-        ScrubState { interval, next_due: interval, stats: ScrubStats::default() }
+    /// An engine that first fires one full `interval` after `start`, the
+    /// boot clock: 0 at first boot, the post-crash time at a reboot (the
+    /// clock keeps running across a crash).
+    pub fn new(interval: Cycles, start: Cycles) -> Self {
+        ScrubState { interval, next_due: start + interval, stats: ScrubStats::default() }
     }
 
     /// True once the next pass is due at `now`.
     pub fn due(&self, now: Cycles) -> bool {
         now >= self.next_due
-    }
-
-    /// Re-anchors the schedule one interval after `now` (used on reboot,
-    /// where the clock keeps running across the crash).
-    pub fn reset_schedule(&mut self, now: Cycles) {
-        self.next_due = now + self.interval;
     }
 
     /// Folds one pass's outcome into the counters and schedules the next
@@ -165,7 +161,7 @@ pub struct PatrolStats {
 pub const PATROL_BATCH_FRAMES: u64 = 64;
 
 /// Schedule + resumable pool cursor + counters for the patrol daemon
-/// (held by the machine, rebuilt on reboot like [`ScrubState`]).
+/// (held by the machine, rebuilt at every boot like [`ScrubState`]).
 #[derive(Clone, Debug)]
 pub struct PatrolState {
     interval: Cycles,
@@ -175,21 +171,22 @@ pub struct PatrolState {
 }
 
 impl PatrolState {
-    /// An engine that first fires one full `interval` after boot, with the
-    /// walk cursor at the start of the pool.
-    pub fn new(interval: Cycles) -> Self {
-        PatrolState { interval, next_due: interval, cursor: 0, stats: PatrolStats::default() }
+    /// An engine that first fires one full `interval` after `start`, the
+    /// boot clock (as for [`ScrubState::new`]), with the walk cursor at the
+    /// start of the pool: a reboot loses the in-memory walk position, while
+    /// the recorded checksums survive for the fresh walk to verify.
+    pub fn new(interval: Cycles, start: Cycles) -> Self {
+        PatrolState {
+            interval,
+            next_due: start + interval,
+            cursor: 0,
+            stats: PatrolStats::default(),
+        }
     }
 
     /// True once the next batch is due at `now`.
     pub fn due(&self, now: Cycles) -> bool {
         now >= self.next_due
-    }
-
-    /// Re-anchors the schedule one interval after `now` (used on reboot,
-    /// where the clock keeps running across the crash).
-    pub fn reset_schedule(&mut self, now: Cycles) {
-        self.next_due = now + self.interval;
     }
 
     /// Offset into the pool's pfn space where the next batch resumes.
@@ -228,7 +225,7 @@ mod tests {
 
     #[test]
     fn schedule_fires_then_rearms() {
-        let mut s = ScrubState::new(Cycles::new(100));
+        let mut s = ScrubState::new(Cycles::new(100), Cycles::ZERO);
         assert!(!s.due(Cycles::new(99)));
         assert!(s.due(Cycles::new(100)));
         let outcome = ScrubPassOutcome {
@@ -247,7 +244,7 @@ mod tests {
 
     #[test]
     fn patrol_schedule_and_cursor_accumulate() {
-        let mut p = PatrolState::new(Cycles::new(200));
+        let mut p = PatrolState::new(Cycles::new(200), Cycles::ZERO);
         assert!(!p.due(Cycles::new(199)));
         assert!(p.due(Cycles::new(200)));
         assert_eq!(p.cursor(), 0, "walk starts at the pool base");
@@ -268,8 +265,8 @@ mod tests {
         assert_eq!(p.stats().passes, 1);
         assert_eq!(p.stats().frames_poisoned, 1);
         assert_eq!(p.stats().procs_killed, 1);
-        p.reset_schedule(Cycles::new(1000));
-        assert!(!p.due(Cycles::new(1199)));
-        assert!(p.due(Cycles::new(1200)));
+        let rebooted = PatrolState::new(Cycles::new(200), Cycles::new(1000));
+        assert!(!rebooted.due(Cycles::new(1199)), "first batch one interval after boot");
+        assert!(rebooted.due(Cycles::new(1200)));
     }
 }

@@ -5,6 +5,7 @@
 //! case index and seed in every assertion, so a failure replays by
 //! rerunning the test.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use kindle_os::{
@@ -153,11 +154,11 @@ fn page_table_matches_model() {
             let va = VirtAddr::new(vpn * P);
             let frame = Pfn::new(0x200_0000 + i);
             let mapped = asp.map(&mut mem, &mut pools, &costs, va, frame, 0);
-            if model.contains_key(&vpn) {
-                assert!(mapped.is_err(), "{ctx}: vpn {vpn:#x} mapped twice");
-            } else {
+            if let Entry::Vacant(slot) = model.entry(vpn) {
                 mapped.unwrap();
-                model.insert(vpn, frame);
+                slot.insert(frame);
+            } else {
+                assert!(mapped.is_err(), "{ctx}: vpn {vpn:#x} mapped twice");
             }
         }
         assert_eq!(asp.mapped_pages(), model.len() as u64, "{ctx}");

@@ -16,8 +16,10 @@ use kindle_os::MetaRecord;
 use kindle_os::Region;
 use kindle_types::sanitize::{self, Event};
 use kindle_types::{
-    checksum64, KindleError, MemKind, Pfn, PhysAddr, PhysMem, Prot, Result, VirtAddr, Vpn,
+    checksum64, KindleError, MemKind, Pfn, PhysAddr, PhysMem, Result, VirtAddr, Vpn,
 };
+
+use crate::slot::{prot_bits, prot_from_bits};
 
 const HEADER_BYTES: u64 = 64;
 const RECORD_BYTES: u64 = 56;
@@ -229,29 +231,11 @@ fn decode(words: &[u64; 6]) -> Option<MetaRecord> {
     })
 }
 
-fn prot_bits(p: Prot) -> u64 {
-    let mut b = 0u64;
-    if p.allows(kindle_types::AccessKind::Read) {
-        b |= 1;
-    }
-    if p.allows(kindle_types::AccessKind::Write) {
-        b |= 2;
-    }
-    b
-}
-
-fn prot_from_bits(b: u64) -> Prot {
-    match b & 3 {
-        0 => Prot::NONE,
-        1 => Prot::READ,
-        _ => Prot::RW,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kindle_types::physmem::FlatMem;
+    use kindle_types::Prot;
 
     fn log() -> (FlatMem, RedoLog) {
         let mem = FlatMem::new(1 << 20);

@@ -17,7 +17,6 @@
 //! - replays the redo log's valid prefix idempotently on top of the
 //!   checkpointed state, dropping the torn tail.
 
-use kindle_cpu::RegisterFile;
 use kindle_os::{AddressSpace, Kernel, MetaRecord, ProcState, Process, PtMode, VmaList};
 use kindle_types::{AccessKind, Cycles, KindleError, MapFlags, MemKind, PhysMem, Pte, Result, Vpn};
 
@@ -182,7 +181,7 @@ pub fn recover_all(
         };
 
         let mut proc = Process::new(pid, aspace);
-        proc.regs = RegisterFile::from(ctx.regs);
+        proc.regs = ctx.regs;
         proc.vmas = vmas;
         proc.state = ProcState::Recovered;
         kernel.adopt_process(proc);

@@ -413,8 +413,10 @@ fn list_words(entries: &[(Vpn, Pfn)]) -> Vec<u64> {
     words
 }
 
-fn prot_bits(p: Prot) -> u64 {
-    // Prot has no public bit accessor; encode via behaviour.
+/// Persistent encoding of a VMA protection, shared by the saved context
+/// and the redo log: bit 0 = readable, bit 1 = writable, taken from what
+/// `p` allows. Write implies read, so `Prot::WRITE` encodes as 3.
+pub(crate) fn prot_bits(p: Prot) -> u64 {
     let mut b = 0u64;
     if p.allows(kindle_types::AccessKind::Read) {
         b |= 1;
@@ -425,7 +427,8 @@ fn prot_bits(p: Prot) -> u64 {
     b
 }
 
-fn prot_from_bits(b: u64) -> Prot {
+/// Decodes [`prot_bits`]: any writable encoding decodes as `Prot::RW`.
+pub(crate) fn prot_from_bits(b: u64) -> Prot {
     match b & 3 {
         0 => Prot::NONE,
         1 => Prot::READ,
@@ -437,6 +440,14 @@ fn prot_from_bits(b: u64) -> Prot {
 mod tests {
     use super::*;
     use kindle_types::physmem::FlatMem;
+
+    #[test]
+    fn prot_encoding_is_read_bit_then_write_bit() {
+        let bits = [Prot::NONE, Prot::READ, Prot::WRITE, Prot::RW].map(prot_bits);
+        assert_eq!(bits, [0, 1, 3, 3], "write implies read");
+        let decoded = [0, 1, 2, 3].map(prot_from_bits);
+        assert_eq!(decoded, [Prot::NONE, Prot::READ, Prot::RW, Prot::RW]);
+    }
 
     fn area() -> (FlatMem, SavedStateArea) {
         let mem = FlatMem::new(8 << 20);

@@ -8,21 +8,6 @@ use kindle_ssp::SspConfig;
 use kindle_tlb::TwoLevelTlbConfig;
 use kindle_types::Cycles;
 
-/// Process-persistence (checkpoint engine) setup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointSetup {
-    /// Checkpoint interval (paper default 10 ms, after Aurora).
-    pub interval: Cycles,
-    /// Saved-state slots to carve.
-    pub max_procs: usize,
-}
-
-impl Default for CheckpointSetup {
-    fn default() -> Self {
-        CheckpointSetup { interval: Cycles::from_millis(10), max_procs: 8 }
-    }
-}
-
 /// Full machine configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
@@ -36,8 +21,10 @@ pub struct MachineConfig {
     pub pt_mode: PtMode,
     /// Kernel instruction-cost table.
     pub costs: KernelCosts,
-    /// Enable periodic execution-context checkpointing.
-    pub checkpoint: Option<CheckpointSetup>,
+    /// Periodic execution-context checkpointing: `Some(interval)` arms
+    /// the checkpoint engine (the paper checkpoints every 10 ms, after
+    /// Aurora).
+    pub checkpoint: Option<Cycles>,
     /// Enable the SSP prototype.
     pub ssp: Option<SspConfig>,
     /// Enable the HSCC prototype.
@@ -100,7 +87,7 @@ impl MachineConfig {
 
     /// Enables checkpointing at `interval`.
     pub fn with_checkpointing(mut self, interval: Cycles) -> Self {
-        self.checkpoint = Some(CheckpointSetup { interval, ..Default::default() });
+        self.checkpoint = Some(interval);
         self
     }
 
@@ -208,7 +195,7 @@ mod tests {
             .with_pt_mode(PtMode::Persistent)
             .with_checkpointing(Cycles::from_millis(100));
         assert_eq!(c.pt_mode, PtMode::Persistent);
-        assert_eq!(c.checkpoint.unwrap().interval, Cycles::from_millis(100));
+        assert_eq!(c.checkpoint, Some(Cycles::from_millis(100)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod hw;
 pub mod machine;
 pub mod report;
 
-pub use config::{CheckpointSetup, MachineConfig, RunSettings, DEFAULT_PATROL_INTERVAL};
+pub use config::{MachineConfig, RunSettings, DEFAULT_PATROL_INTERVAL};
 pub use hw::Hw;
 pub use machine::{Machine, MachineSnapshot, ReplayOptions, ReplayReport};
 pub use report::SimReport;

@@ -45,19 +45,57 @@ pub struct ReplayReport {
     pub area_bases: Vec<VirtAddr>,
 }
 
-/// Snapshot of the translation used by one access.
-#[derive(Clone, Copy, Debug)]
-struct EntryInfo {
-    pfn: Pfn,
-    writable: bool,
-    mem_kind: MemKind,
-    dirty: bool,
-    ssp: Option<kindle_tlb::SspTlbExt>,
-    pte_pa: PhysAddr,
+/// DRAM frames every boot reserves at the bottom for the kernel image.
+const KERNEL_RESERVED_DRAM_FRAMES: u64 = 256;
+
+/// Saved-state slots the checkpoint engine carves at every boot.
+const CHECKPOINT_SLOTS: usize = 8;
+
+/// What one boot builds over the hardware, in boot order: the kernel, the
+/// checkpoint, SSP and HSCC engines, and the scrubd and patrold states.
+type Booted = (
+    Kernel,
+    Option<CheckpointEngine>,
+    Option<SspEngine>,
+    Option<HsccEngine>,
+    Option<ScrubState>,
+    Option<PatrolState>,
+);
+
+/// Boots the OS over `hw`: the kernel, then the checkpoint, SSP and HSCC
+/// engines (HSCC allocates from the new kernel's pools), then the scrubd
+/// and patrold states, whose schedules start from the boot clock and whose
+/// patrol walk starts at the pool base. No step advances the clock, and
+/// the checkpoint and HSCC engines keep their first deadline at their
+/// absolute interval.
+fn boot(cfg: &MachineConfig, hw: &mut Hw) -> Result<Booted> {
+    let kcfg = KernelConfig {
+        memory_map: cfg.mem.layout.clone(),
+        pt_mode: cfg.pt_mode,
+        costs: cfg.costs.clone(),
+        dram_reserved_frames: KERNEL_RESERVED_DRAM_FRAMES,
+    };
+    let mut kernel = Kernel::new(kcfg, hw)?;
+    let persist = cfg.checkpoint.map(|interval| {
+        CheckpointEngine::new(&kernel.layout, cfg.pt_mode, interval, CHECKPOINT_SLOTS)
+    });
+    let ssp = cfg.ssp.as_ref().map(|s| SspEngine::new(&kernel.layout, s.clone()));
+    let hscc = match &cfg.hscc {
+        Some(h) => Some(HsccEngine::new(hw, &mut kernel, h.clone())?),
+        None => None,
+    };
+    let now = hw.now();
+    let scrub = cfg.scrub_interval.map(|interval| ScrubState::new(interval, now));
+    let patrol = cfg.patrol_interval.map(|interval| PatrolState::new(interval, now));
+    Ok((kernel, persist, ssp, hscc, scrub, patrol))
 }
 
 /// The machine: hardware + OS + optional prototype engines.
-#[derive(Debug)]
+///
+/// A clone is a full copy of the machine, except that it shares an armed
+/// [`PowerSwitch`] with the original: cutting it freezes both.
+/// [`Machine::snapshot`] is the fork that drops the switch.
+#[derive(Clone, Debug)]
 pub struct Machine {
     cfg: MachineConfig,
     /// Timing hardware (clock, caches, memory).
@@ -103,24 +141,7 @@ impl Machine {
             ));
         }
         let mut hw = Hw::new(&cfg);
-        let kcfg = KernelConfig {
-            memory_map: cfg.mem.layout.clone(),
-            pt_mode: cfg.pt_mode,
-            costs: cfg.costs.clone(),
-            dram_reserved_frames: 256,
-        };
-        let mut kernel = Kernel::new(kcfg, &mut hw)?;
-        let persist = cfg
-            .checkpoint
-            .as_ref()
-            .map(|s| CheckpointEngine::new(&kernel.layout, cfg.pt_mode, s.interval, s.max_procs));
-        let ssp = cfg.ssp.as_ref().map(|s| SspEngine::new(&kernel.layout, s.clone()));
-        let hscc = match &cfg.hscc {
-            Some(h) => Some(HsccEngine::new(&mut hw, &mut kernel, h.clone())?),
-            None => None,
-        };
-        let scrub = cfg.scrub_interval.map(ScrubState::new);
-        let patrol = cfg.patrol_interval.map(PatrolState::new);
+        let (kernel, persist, ssp, hscc, scrub, patrol) = boot(&cfg, &mut hw)?;
         let mut m = Machine {
             hw,
             tlb: TwoLevelTlb::new(&cfg.tlb),
@@ -433,21 +454,14 @@ impl Machine {
         // 1. TLB.
         let (tlb_lat, hit, dropped) = self.tlb.lookup(vpn);
         self.hw.advance(tlb_lat);
-        let mut info = hit.map(|e| EntryInfo {
-            pfn: e.pfn,
-            writable: e.writable,
-            mem_kind: e.mem_kind,
-            dirty: e.dirty,
-            ssp: e.ssp,
-            pte_pa: e.pte_pa,
-        });
+        let hit = hit.copied();
         if let Some(entry) = dropped {
             self.on_tlb_dropped(pid, entry)?;
         }
 
         // 2. Miss: hardware walk, faulting into the kernel if needed.
-        let info = match info.take() {
-            Some(i) => i,
+        let info = match hit {
+            Some(e) => e,
             None => self.fill_tlb(pid, va, kind)?,
         };
 
@@ -512,8 +526,9 @@ impl Machine {
         Ok(self.hw.now() - start)
     }
 
-    /// Hardware walk (fault on demand) and TLB fill.
-    fn fill_tlb(&mut self, pid: u32, va: VirtAddr, kind: AccessKind) -> Result<EntryInfo> {
+    /// Hardware walk (fault on demand) and TLB fill; returns the installed
+    /// entry.
+    fn fill_tlb(&mut self, pid: u32, va: VirtAddr, kind: AccessKind) -> Result<TlbEntry> {
         let vpn = va.page_number();
         let root = self.kernel.process(pid)?.aspace.root();
         let mut walker = std::mem::take(&mut self.walker);
@@ -562,18 +577,10 @@ impl Machine {
             }
         }
 
-        let info = EntryInfo {
-            pfn: entry.pfn,
-            writable: entry.writable,
-            mem_kind: entry.mem_kind,
-            dirty: entry.dirty,
-            ssp: entry.ssp,
-            pte_pa: entry.pte_pa,
-        };
         if let Some(droppped) = self.tlb.install(entry) {
             self.on_tlb_dropped(pid, droppped)?;
         }
-        Ok(info)
+        Ok(entry)
     }
 
     /// Hardware-side handling of an entry leaving the TLB hierarchy.
@@ -849,45 +856,16 @@ impl Machine {
         self.reboot()
     }
 
+    /// Boots a fresh kernel and its engines over the surviving hardware.
+    /// The TLB is flushed without [`Machine::on_tlb_dropped`] (the engines
+    /// that would see the entries are rebuilt); the walker and the
+    /// shootdown count carry over.
     fn reboot(&mut self) -> Result<()> {
         let _ = self.tlb.flush_all();
         self.active_pid = None;
         self.msr = MsrFile::new();
-        let kcfg = KernelConfig {
-            memory_map: self.cfg.mem.layout.clone(),
-            pt_mode: self.cfg.pt_mode,
-            costs: self.cfg.costs.clone(),
-            dram_reserved_frames: 256,
-        };
-        self.kernel = Kernel::new(kcfg, &mut self.hw)?;
-        if let Some(setup) = self.cfg.checkpoint.clone() {
-            self.persist = Some(CheckpointEngine::new(
-                &self.kernel.layout,
-                self.cfg.pt_mode,
-                setup.interval,
-                setup.max_procs,
-            ));
-        }
-        if let Some(ssp_cfg) = self.cfg.ssp.clone() {
-            self.ssp = Some(SspEngine::new(&self.kernel.layout, ssp_cfg));
-        }
-        if let Some(hscc_cfg) = self.cfg.hscc.clone() {
-            self.hscc = Some(HsccEngine::new(&mut self.hw, &mut self.kernel, hscc_cfg)?);
-        }
-        // Scrub state is rebuilt like the engines; the clock keeps running
-        // across the crash, so re-anchor the schedule at the current time.
-        self.scrub = self.cfg.scrub_interval.map(ScrubState::new);
-        let now = self.hw.now();
-        if let Some(s) = self.scrub.as_mut() {
-            s.reset_schedule(now);
-        }
-        // Patrol state likewise. The walk cursor restarts at the pool base:
-        // a reboot loses the in-memory walk position, while the recorded
-        // checksums (NVM metadata) survive for the fresh walk to verify.
-        self.patrol = self.cfg.patrol_interval.map(PatrolState::new);
-        if let Some(p) = self.patrol.as_mut() {
-            p.reset_schedule(now);
-        }
+        (self.kernel, self.persist, self.ssp, self.hscc, self.scrub, self.patrol) =
+            boot(&self.cfg, &mut self.hw)?;
         // The fresh kernel rebuilt the thread table; re-register daemons
         // and drop back to the main context.
         self.register_daemons();
@@ -966,28 +944,15 @@ impl Machine {
     /// scheduler (with the daemons' kthreads), and checksum/scrub/patrol
     /// state. The config travels with it.
     ///
-    /// The copy never carries power-cut wiring: a restored machine arms its
-    /// own fresh [`PowerSwitch`] if it wants one. Cloning touches no
-    /// simulated state, emits no sanitizer events, and advances no clocks,
-    /// so `snapshot(); restore()` round-trips are invisible to the run.
+    /// The snapshot is a clone of the machine with its power switch
+    /// disarmed: a restored machine arms its own fresh [`PowerSwitch`] if
+    /// it wants one. Cloning touches no simulated state, emits no
+    /// sanitizer events, and advances no clocks, so `snapshot(); restore()`
+    /// round-trips are invisible to the run.
     pub fn snapshot(&self) -> MachineSnapshot {
-        let mut hw = self.hw.clone();
-        hw.mc.disarm_power_cut();
-        MachineSnapshot {
-            cfg: self.cfg.clone(),
-            hw,
-            tlb: self.tlb.clone(),
-            walker: self.walker.clone(),
-            msr: self.msr.clone(),
-            kernel: self.kernel.clone(),
-            persist: self.persist.clone(),
-            ssp: self.ssp.clone(),
-            hscc: self.hscc.clone(),
-            scrub: self.scrub.clone(),
-            patrol: self.patrol.clone(),
-            tlb_shootdowns: self.tlb_shootdowns,
-            active_pid: self.active_pid,
-        }
+        let mut m = self.clone();
+        m.hw.mc.disarm_power_cut();
+        MachineSnapshot(m)
     }
 
     /// Rebuilds a machine from a snapshot (a *fork*: the snapshot stays
@@ -998,21 +963,7 @@ impl Machine {
     /// Restoring only re-anchors the sanitizer's current-thread stamp to
     /// the scheduler's running kthread.
     pub fn restore(snap: &MachineSnapshot) -> Self {
-        let m = Machine {
-            cfg: snap.cfg.clone(),
-            hw: snap.hw.clone(),
-            tlb: snap.tlb.clone(),
-            walker: snap.walker.clone(),
-            msr: snap.msr.clone(),
-            kernel: snap.kernel.clone(),
-            persist: snap.persist.clone(),
-            ssp: snap.ssp.clone(),
-            hscc: snap.hscc.clone(),
-            scrub: snap.scrub.clone(),
-            patrol: snap.patrol.clone(),
-            tlb_shootdowns: snap.tlb_shootdowns,
-            active_pid: snap.active_pid,
-        };
+        let m = snap.0.clone();
         sanitize::set_current_thread(m.kernel.sched.current());
         m
     }
@@ -1020,28 +971,13 @@ impl Machine {
 
 /// A deep capture of one [`Machine`] at an instant, made by
 /// [`Machine::snapshot`] and turned back into a live machine by
-/// [`Machine::restore`].
+/// [`Machine::restore`]: a machine with no power switch armed.
 ///
 /// The daemons' kthread ids live in the kernel's scheduler, so the capture
-/// holds only plain data (plus the atomic power switch) and is
-/// `Send + Sync`: one snapshot pool is shared by reference across
-/// `par_map` sweep workers.
+/// holds only plain data and is `Send + Sync`: one snapshot pool is shared
+/// by reference across `par_map` sweep workers.
 #[derive(Clone, Debug)]
-pub struct MachineSnapshot {
-    cfg: MachineConfig,
-    hw: Hw,
-    tlb: TwoLevelTlb,
-    walker: PageWalker,
-    msr: MsrFile,
-    kernel: Kernel,
-    persist: Option<CheckpointEngine>,
-    ssp: Option<SspEngine>,
-    hscc: Option<HsccEngine>,
-    scrub: Option<ScrubState>,
-    patrol: Option<PatrolState>,
-    tlb_shootdowns: u64,
-    active_pid: Option<u32>,
-}
+pub struct MachineSnapshot(Machine);
 
 // Snapshots cross fork-join worker boundaries by shared reference, so the
 // capture must never regress to holding `Rc`/`Cell` state.

@@ -57,7 +57,7 @@ impl MemoryLayout {
     ///
     /// Panics if `size` is not a positive multiple of the page size.
     pub fn add(&mut self, name: &str, kind: AreaKind, size: u64, nvm: bool) -> AreaId {
-        assert!(size > 0 && size % PAGE_SIZE as u64 == 0, "area size must be whole pages");
+        assert!(size > 0 && size.is_multiple_of(PAGE_SIZE as u64), "area size must be whole pages");
         let id = AreaId(self.areas.len() as u16);
         self.areas.push(Area { id, name: name.to_string(), kind, size, nvm });
         id

@@ -258,7 +258,7 @@ impl OpStream {
         //   mid band : 64 pages drifting slowly (clears Th-25, not Th-50);
         //   warm band: 1024 pages drifting faster (clears Th-5 only);
         //   cold tail: everything else (thrashes the LLC, never migrates).
-        if self.i % 500_000 == 0 {
+        if self.i.is_multiple_of(500_000) {
             self.band = self.rng.gen_below(524_288);
         }
         let mid_base = (self.i / 1_000_000) * 384 % 524_288;

@@ -500,7 +500,7 @@ impl ViolationLog {
 
     /// True if any recorded violation satisfies `pred`.
     pub fn any(&self, pred: impl Fn(&Violation) -> bool) -> bool {
-        self.0.borrow().iter().any(|v| pred(v))
+        self.0.borrow().iter().any(pred)
     }
 
     fn push(&self, v: Violation) {

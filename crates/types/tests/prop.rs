@@ -71,7 +71,7 @@ fn pte_fields_are_independent() {
         let pfn = rng.gen_below(1 << 40);
         let count = rng.gen_below(1024);
         let flags = rng.gen_below(4);
-        let flag_bits = (flags & 1) * Pte::WRITABLE | ((flags >> 1) & 1) * Pte::NVM;
+        let flag_bits = ((flags & 1) * Pte::WRITABLE) | (((flags >> 1) & 1) * Pte::NVM);
         let pte = Pte::new(Pfn::new(pfn), flag_bits).with_access_count(count);
         assert_eq!(pte.pfn(), Pfn::new(pfn), "{ctx}");
         assert_eq!(pte.access_count(), count, "{ctx}");

@@ -14,6 +14,10 @@ cargo test --release -q --test exact_outputs
 echo "== every target and feature builds offline =="
 cargo check --workspace --all-targets --all-features --offline
 
+echo "== clippy is clean on every target =="
+# perfbench is a workspace of its own and stays out of this gate.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== the frozen benchmark (perfbench) builds offline =="
 # perfbench is a workspace of its own, so the check above never builds it;
 # a deleted public name it uses would otherwise fail only in perf-pairs.

@@ -171,7 +171,7 @@ fn hscc_hardware_only_baseline_charges_no_os_time() {
             let page = round % 16;
             // Periodically drop the caches so accesses miss the LLC and
             // the hardware counters accumulate.
-            if round % 32 == 0 {
+            if round.is_multiple_of(32) {
                 m.hw.caches.invalidate_all();
             }
             m.access(pid, va + page * PAGE_SIZE as u64 + (round % 64) * 64, AccessKind::Read)
@@ -212,8 +212,8 @@ fn hscc_copyback_preserves_data() {
     let deadline = m.now() + Cycles::from_millis(8);
     let mut round = 0u64;
     while m.now() < deadline {
-        let page = if round % 3 == 0 { 0 } else { 1 + (round % 15) };
-        if round % 32 == 0 {
+        let page = if round.is_multiple_of(3) { 0 } else { 1 + (round % 15) };
+        if round.is_multiple_of(32) {
             m.hw.caches.invalidate_all();
         }
         m.access(pid, va + page * PAGE_SIZE as u64 + (round % 64) * 64, AccessKind::Write).unwrap();

@@ -10,17 +10,19 @@
 //! sweep is pinned in release builds. The stride-199 sweep's
 //! snapshot-pool telemetry is pinned too, as are every registry backend's
 //! far-tier parameters and its quick backend-grid row, three runs with all
-//! four kernel daemons armed, and a crash and reboot of one of them.
+//! four kernel daemons armed, a crash and reboot of one of them, and the
+//! time split of one syscall program run through every kernel entry.
 
 use kindle::experiments::{run_backend_grid, run_fig4a, BackendGridParams, Fig4aParams};
 use kindle::mem::{Backend, MediaFaultConfig, MemConfig, MemoryController};
 use kindle::os::{PatrolStats, ScrubStats};
 use kindle::prelude::{
     AccessKind, Cycles, HsccConfig, Machine, MachineConfig, MapFlags, MemKind, Prot, PtMode,
-    VirtAddr,
+    ReplayOptions, ReplayProgram, SspConfig, VirtAddr,
 };
 use kindle::sim::RunSettings;
-use kindle::types::PAGE_SIZE;
+use kindle::trace::{AreaId, AreaKind, MemoryLayout, TraceImage, TraceRecord};
+use kindle::types::{KindleError, PhysMem, Rng64, PAGE_SIZE};
 use kindle_faults::SweepStrategy::SnapshotFork;
 use kindle_faults::{
     run_data_integrity_sweep_strategy, run_nvm_write_sweep, run_nvm_write_sweep_instrumented,
@@ -507,4 +509,214 @@ fn reboot_with_all_daemons_is_pinned() {
     );
     assert_eq!(reboot_run(false), want, "crash and reboot");
     assert_eq!(reboot_run(true), want, "crash and reboot of a snapshot fork");
+}
+
+/// The engines one kernel-entry arm arms on `MachineConfig::small()` with
+/// persistent page tables.
+#[derive(Clone, Copy, Debug)]
+enum EntryArm {
+    /// Periodic and explicit checkpoints run inline, then crash and recovery.
+    Checkpoint,
+    /// As `Checkpoint`, with ckptd on its kthread.
+    CheckpointKthreads,
+    /// An SSP failure-atomic replay after the syscall program.
+    SspFase,
+    /// HSCC migrations charged to the OS.
+    HsccOs,
+    /// HSCC migrations with no OS time charged.
+    HsccHardwareOnly,
+    /// A wear budget of 512 writes per line, with scrubd and patrold armed;
+    /// one hammered line fails its frame, which the OS retires by
+    /// remapping the page.
+    WornMedia,
+}
+
+fn entry_config(arm: EntryArm) -> MachineConfig {
+    let cfg = MachineConfig::small().with_pt_mode(PtMode::Persistent);
+    let interval = Cycles::from_micros(50);
+    let hscc = HsccConfig {
+        fetch_threshold: 3,
+        migration_interval: Cycles::from_micros(20),
+        pool_pages: 64,
+    };
+    match arm {
+        EntryArm::Checkpoint => cfg.with_checkpointing(interval),
+        EntryArm::CheckpointKthreads => cfg.with_checkpointing(interval).with_kthreads(),
+        EntryArm::SspFase => cfg.with_ssp(SspConfig {
+            consistency_interval: Cycles::from_micros(20),
+            consolidation_interval: Cycles::from_micros(10),
+        }),
+        EntryArm::HsccOs => cfg.with_hscc(hscc, true),
+        EntryArm::HsccHardwareOnly => cfg.with_hscc(hscc, false),
+        EntryArm::WornMedia => {
+            let mut cfg =
+                cfg.with_scrub_interval(interval).with_patrol_interval(Cycles::from_micros(20));
+            cfg.mem.faults = Some(MediaFaultConfig {
+                wear_limit: 512,
+                stuck_cells: 0,
+                ..MediaFaultConfig::with_seed(11)
+            });
+            cfg
+        }
+    }
+}
+
+/// A two-area trace (32 NVM pages, 4 DRAM pages) of 3000 random 8-byte
+/// accesses, a third of them writes.
+fn entry_trace() -> ReplayProgram {
+    let page = PAGE_SIZE as u64;
+    let mut layout = MemoryLayout::new();
+    layout.add("heap", AreaKind::Heap, 32 * page, true);
+    layout.add("stack.0", AreaKind::Stack, 4 * page, false);
+    let mut rng = Rng64::new(0x55f0);
+    let records = (0..3000u64)
+        .map(|period| {
+            let stack = rng.gen_below(4) == 0;
+            let size = if stack { 4 * page } else { 32 * page };
+            let op = if rng.gen_below(3) == 0 { AccessKind::Write } else { AccessKind::Read };
+            TraceRecord {
+                period,
+                offset: rng.gen_below(size / 8) * 8,
+                op,
+                size: 8,
+                area: AreaId(u16::from(stack)),
+            }
+        })
+        .collect();
+    ReplayProgram::from_image(TraceImage::new(layout, records))
+}
+
+/// One kernel-entry run: every non-zero activity bucket as `(label,
+/// cycles)`, `now`, the TLB shootdowns and the kthread switches.
+type EntryRun = (Vec<(&'static str, u64)>, u64, u64, u64);
+
+/// Runs one syscall program through every `Machine` entry: spawn, `mmap`,
+/// FIXED `mmap_at`, faulting writes, `mprotect`, `mremap`, a partial
+/// `munmap`, `fork` and `checkpoint_now`, then the arm's own tail: a
+/// crash, recovery and one more checkpoint, a FASE replay, or hammering one
+/// line until its frame fails.
+fn entry_run(arm: EntryArm) -> EntryRun {
+    let page = PAGE_SIZE as u64;
+    let mut m = Machine::new(entry_config(arm)).expect("machine boots");
+    let pid = m.spawn_process().expect("spawn");
+    let heap = m.mmap(pid, 32 * page, Prot::RW, MapFlags::NVM).expect("mmap");
+    let fixed = m
+        .mmap_at(pid, Some(VirtAddr::new(0x6000_0000)), 8 * page, Prot::RW, MapFlags::FIXED)
+        .expect("mmap_at fixed");
+    assert_eq!(fixed, VirtAddr::new(0x6000_0000));
+    for i in 0..32 {
+        m.access(pid, heap + i * page, AccessKind::Write).expect("fault in heap");
+    }
+    for i in 0..8 {
+        m.access(pid, fixed + i * page, AccessKind::Write).expect("fault in fixed");
+    }
+    m.mprotect(pid, fixed, 4 * page, Prot::READ).expect("mprotect");
+    for i in 0..8 {
+        m.access(pid, fixed + i * page, AccessKind::Read).expect("read fixed");
+    }
+    let moved = m.mremap(pid, heap, 32 * page, 48 * page).expect("mremap");
+    for i in 0..48 {
+        m.access(pid, moved + i * page, AccessKind::Write).expect("touch moved");
+    }
+    m.munmap(pid, moved + 8 * page, 8 * page).expect("partial munmap");
+    let child = m.fork(pid).expect("fork");
+    for i in 0..8 {
+        m.access(child, moved + i * page, AccessKind::Write).expect("child write");
+    }
+    for round in 0..400 {
+        m.access(pid, moved + (16 + round % 16) * page, AccessKind::Read).expect("hot read");
+    }
+    match m.checkpoint_now() {
+        Ok(()) => {}
+        Err(KindleError::InvalidArgument(_)) if m.persist.is_none() => {}
+        Err(e) => panic!("{arm:?}: checkpoint_now: {e}"),
+    }
+    match arm {
+        EntryArm::Checkpoint | EntryArm::CheckpointKthreads => {
+            m.crash().expect("reboot");
+            let recovered = m.recover().expect("recovery").recovered_pids;
+            assert_eq!(recovered, [pid, child], "{arm:?}: both processes recovered");
+            for i in 0..100 {
+                m.access(child, moved + (i % 8) * page, AccessKind::Read).expect("read recovered");
+            }
+            m.checkpoint_now().expect("checkpoint after recovery");
+        }
+        EntryArm::SspFase => {
+            let opts = ReplayOptions { fase: true, max_ops: None };
+            m.run_replay(pid, &entry_trace(), opts).expect("fase replay");
+            assert!(m.ssp.as_ref().expect("ssp").stats().consolidations > 0);
+        }
+        EntryArm::HsccOs | EntryArm::HsccHardwareOnly => {}
+        EntryArm::WornMedia => {
+            let pa = m.kernel.translate(&mut m.hw, pid, moved).unwrap().unwrap().pfn().base();
+            for i in 0..2_000u64 {
+                m.hw.write_u64(pa, i);
+                m.hw.clwb(pa);
+                m.access(pid, moved, AccessKind::Read).expect("read worn page");
+                if m.kernel.stats().frames_retired > 0 {
+                    break;
+                }
+            }
+            assert_eq!(m.kernel.stats().frames_retired, 1, "the worn frame is retired");
+        }
+    }
+    let breakdown = m.hw.core.breakdown().iter().map(|(a, c)| (a.label(), c.as_u64())).collect();
+    (breakdown, m.now().as_u64(), m.tlb_shootdowns(), m.report().kthread_switches)
+}
+
+/// The activity split, clock, shootdowns and kthread switches of one
+/// syscall program in six arms, which between them reach every kernel
+/// entry of `Machine` and every daemon pass. The runs are the same in both
+/// build profiles.
+#[test]
+fn kernel_entries_are_pinned() {
+    let arms = [
+        EntryArm::Checkpoint,
+        EntryArm::CheckpointKthreads,
+        EntryArm::SspFase,
+        EntryArm::HsccOs,
+        EntryArm::HsccHardwareOnly,
+        EntryArm::WornMedia,
+    ];
+    let want: [EntryRun; 6] = [
+        (
+            vec![
+                ("user", 19_112),
+                ("os", 3_718_150),
+                ("checkpoint", 99_940),
+                ("recovery", 398_332),
+            ],
+            4_235_534,
+            44,
+            0,
+        ),
+        (
+            vec![
+                ("user", 37_112),
+                ("os", 3_718_150),
+                ("checkpoint", 93_940),
+                ("recovery", 398_332),
+            ],
+            4_247_534,
+            44,
+            4,
+        ),
+        (
+            vec![
+                ("user", 402_738),
+                ("os", 4_832_412),
+                ("ssp-interval", 545_540),
+                ("ssp-consolidation", 27_000),
+            ],
+            5_807_690,
+            44,
+            0,
+        ),
+        (vec![("user", 14_060), ("os", 3_707_215), ("migration-scan", 515_612)], 4_236_887, 0, 0),
+        (vec![("user", 14_184), ("os", 3_711_091)], 3_725_275, 0, 0),
+        (vec![("user", 128_548), ("os", 4_559_086)], 4_687_634, 45, 0),
+    ];
+    for (arm, want) in arms.into_iter().zip(want) {
+        assert_eq!(entry_run(arm), want, "{arm:?}");
+    }
 }

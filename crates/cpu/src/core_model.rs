@@ -6,43 +6,36 @@ use crate::regs::RegisterFile;
 
 /// What the machine is currently doing; each charged cycle is attributed to
 /// exactly one activity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Activity {
     /// Application (user-mode) execution, including its memory stalls.
+    #[default]
     User = 0,
     /// Generic kernel work (fault handling, syscalls, allocation).
     Os = 1,
     /// Periodic execution-context checkpointing (persistence study).
     Checkpoint = 2,
-    /// NVM-consistency wrapping of page-table stores (persistent scheme).
-    PtConsistency = 3,
     /// SSP interval-end processing (bitmap write-out, clwb storm).
-    SspInterval = 4,
+    SspInterval = 3,
     /// SSP background page consolidation thread.
-    Consolidation = 5,
-    /// HSCC software page-table scan for candidate selection.
-    MigrationScan = 6,
-    /// HSCC destination-page selection (free/clean/dirty lists, copy-back).
-    MigrationSelection = 7,
-    /// HSCC NVM→DRAM page copy (flush + copy + remap).
-    MigrationCopy = 8,
+    Consolidation = 4,
+    /// HSCC page migration: the software page-table scan, destination
+    /// selection and page copies (the engine's counters split them).
+    MigrationScan = 5,
     /// Crash recovery (rebuilding contexts and page tables).
-    Recovery = 9,
+    Recovery = 6,
 }
 
 impl Activity {
     /// All activities in index order.
-    pub const ALL: [Activity; 10] = [
+    pub const ALL: [Activity; 7] = [
         Activity::User,
         Activity::Os,
         Activity::Checkpoint,
-        Activity::PtConsistency,
         Activity::SspInterval,
         Activity::Consolidation,
         Activity::MigrationScan,
-        Activity::MigrationSelection,
-        Activity::MigrationCopy,
         Activity::Recovery,
     ];
 
@@ -52,12 +45,9 @@ impl Activity {
             Activity::User => "user",
             Activity::Os => "os",
             Activity::Checkpoint => "checkpoint",
-            Activity::PtConsistency => "pt-consistency",
             Activity::SspInterval => "ssp-interval",
             Activity::Consolidation => "ssp-consolidation",
             Activity::MigrationScan => "migration-scan",
-            Activity::MigrationSelection => "migration-selection",
-            Activity::MigrationCopy => "migration-copy",
             Activity::Recovery => "recovery",
         }
     }
@@ -104,7 +94,7 @@ pub struct CpuStats {
 #[derive(Clone, Debug, Default)]
 pub struct Core {
     now: Cycles,
-    activity: Option<Activity>,
+    activity: Activity,
     breakdown: ActivityBreakdown,
     /// Architectural registers (saved/restored by persistence).
     pub regs: RegisterFile,
@@ -114,7 +104,7 @@ pub struct Core {
 impl Core {
     /// A core at time zero, executing user code.
     pub fn new() -> Self {
-        Core { activity: Some(Activity::User), ..Default::default() }
+        Core::default()
     }
 
     /// Current simulated time.
@@ -124,22 +114,20 @@ impl Core {
 
     /// Currently active attribution label.
     pub fn activity(&self) -> Activity {
-        self.activity.unwrap_or(Activity::User)
+        self.activity
     }
 
     /// Switches the attribution label, returning the previous one so callers
     /// can restore it (`let prev = core.set_activity(..); ...;
     /// core.set_activity(prev);`).
     pub fn set_activity(&mut self, a: Activity) -> Activity {
-        let prev = self.activity();
-        self.activity = Some(a);
-        prev
+        std::mem::replace(&mut self.activity, a)
     }
 
     /// Advances the clock, attributing the time to the current activity.
     pub fn advance(&mut self, cost: Cycles) {
         self.now += cost;
-        self.breakdown.buckets[self.activity() as usize] += cost;
+        self.breakdown.buckets[self.activity as usize] += cost;
     }
 
     /// Charges `count` single-cycle instructions (CPI = 1 in-order model).
@@ -204,10 +192,10 @@ mod tests {
     #[test]
     fn iter_skips_zero_buckets() {
         let mut c = Core::new();
-        c.set_activity(Activity::MigrationCopy);
+        c.set_activity(Activity::MigrationScan);
         c.advance(Cycles::new(3));
         let v: Vec<_> = c.breakdown().iter().collect();
-        assert_eq!(v, vec![(Activity::MigrationCopy, Cycles::new(3))]);
+        assert_eq!(v, vec![(Activity::MigrationScan, Cycles::new(3))]);
     }
 
     #[test]

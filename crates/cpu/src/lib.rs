@@ -1,8 +1,9 @@
 //! The simulated CPU core: clock, register file and activity accounting.
 //!
-//! Kindle's experiments hinge on *attributing* simulated time: Figure 6 and
-//! Table VI split execution into user time, OS migration page-selection and
-//! page-copy time; the persistence study splits out checkpoint time. The
+//! Kindle's experiments hinge on *attributing* simulated time: Figure 6
+//! splits execution into user time and OS migration time (the HSCC engine
+//! splits the latter into scan, selection and copy for Table VI); the
+//! persistence study splits out checkpoint time. The
 //! [`Core`] owns the global cycle counter and a per-[`Activity`] breakdown;
 //! every component charges time through it under the currently active label.
 //!
@@ -14,11 +15,11 @@
 //!
 //! let mut core = Core::new();
 //! core.advance(Cycles::new(100)); // user by default
-//! let prev = core.set_activity(Activity::MigrationCopy);
+//! let prev = core.set_activity(Activity::MigrationScan);
 //! core.advance(Cycles::new(50));
 //! core.set_activity(prev);
 //! assert_eq!(core.breakdown().get(Activity::User).as_u64(), 100);
-//! assert_eq!(core.breakdown().get(Activity::MigrationCopy).as_u64(), 50);
+//! assert_eq!(core.breakdown().get(Activity::MigrationScan).as_u64(), 50);
 //! ```
 
 pub mod core_model;

@@ -405,15 +405,15 @@ impl MemoryController {
         }
     }
 
-    /// Writes bytes to the volatile image, snapshotting NVM lines for crash
-    /// rollback the first time each line is dirtied.
+    /// Writes bytes to the volatile image at clock `now`, snapshotting NVM
+    /// lines for crash rollback the first time each line is dirtied.
     ///
-    /// The emitted `NvmWrite` events carry no thread id themselves: the
+    /// The emitted `NvmWrite` events carry `now` but no thread id: the
     /// sanitizer layer stamps them with the ambient simulated kthread
     /// (`kindle_types::sanitize::current_thread`), which the machine's
     /// scheduler keeps up to date — that attribution is what the race
     /// detector keys on.
-    pub fn store_bytes(&mut self, pa: PhysAddr, data: &[u8]) {
+    pub fn store_bytes(&mut self, pa: PhysAddr, data: &[u8], now: Cycles) {
         let nvm = self.layout.kind_of(pa) == Ok(MemKind::Nvm);
         let first = pa.line_base().as_u64();
         let last = (pa.as_u64() + data.len().max(1) as u64 - 1) & !63;
@@ -421,7 +421,7 @@ impl MemoryController {
             // Snapshot undo state for NVM lines before mutating.
             let mut line = first;
             while line <= last {
-                sanitize::emit(|| Event::NvmWrite { line, cycle: 0 });
+                sanitize::emit(|| Event::NvmWrite { line, cycle: now.as_u64() });
                 if !self.nvm_undo.contains(line) {
                     let snap = self.line_image(line);
                     self.nvm_undo.insert_absent(line, snap);
@@ -911,7 +911,7 @@ mod tests {
     fn data_round_trip_across_pages() {
         let (mut m, dram_pa, _) = mc();
         let data: Vec<u8> = (0..9000).map(|i| (i % 251) as u8).collect();
-        m.store_bytes(dram_pa, &data);
+        m.store_bytes(dram_pa, &data, Cycles::ZERO);
         let mut back = vec![0u8; data.len()];
         m.load_bytes(dram_pa, &mut back);
         assert_eq!(back, data);
@@ -928,7 +928,7 @@ mod tests {
     #[test]
     fn crash_wipes_dram() {
         let (mut m, dram_pa, _) = mc();
-        m.store_bytes(dram_pa, b"volatile!");
+        m.store_bytes(dram_pa, b"volatile!", Cycles::ZERO);
         m.crash();
         let mut buf = [0u8; 9];
         m.load_bytes(dram_pa, &mut buf);
@@ -938,9 +938,9 @@ mod tests {
     #[test]
     fn crash_reverts_uncommitted_nvm() {
         let (mut m, _, nvm_pa) = mc();
-        m.store_bytes(nvm_pa, b"AAAA");
+        m.store_bytes(nvm_pa, b"AAAA", Cycles::ZERO);
         m.commit_line(nvm_pa); // durable now
-        m.store_bytes(nvm_pa, b"BBBB"); // dirty, not committed
+        m.store_bytes(nvm_pa, b"BBBB", Cycles::ZERO); // dirty, not committed
         m.crash();
         let mut buf = [0u8; 4];
         m.load_bytes(nvm_pa, &mut buf);
@@ -951,7 +951,7 @@ mod tests {
     #[test]
     fn committed_nvm_survives_crash() {
         let (mut m, _, nvm_pa) = mc();
-        m.store_bytes(nvm_pa, b"keepme");
+        m.store_bytes(nvm_pa, b"keepme", Cycles::ZERO);
         m.commit_line(nvm_pa);
         m.crash();
         let mut buf = [0u8; 6];
@@ -963,7 +963,7 @@ mod tests {
     fn commit_all_flushes_everything() {
         let (mut m, _, nvm_pa) = mc();
         for i in 0..10u64 {
-            m.store_bytes(nvm_pa + i * 64, &[i as u8; 8]);
+            m.store_bytes(nvm_pa + i * 64, &[i as u8; 8], Cycles::ZERO);
         }
         assert_eq!(m.volatile_nvm_lines(), 10);
         m.commit_all();
@@ -979,13 +979,13 @@ mod tests {
         let (mut m, _, nvm_pa) = mc();
         let sw = PowerSwitch::new();
         m.arm_power_cut(sw.clone());
-        m.store_bytes(nvm_pa, b"AAAAAAAA");
+        m.store_bytes(nvm_pa, b"AAAAAAAA", Cycles::ZERO);
         m.commit_line(nvm_pa);
         m.nvm_drain_latency(Cycles::from_millis(1)); // fully durable
         sw.cut();
         // Doomed post-cut execution: stores and commits change nothing
         // durable.
-        m.store_bytes(nvm_pa, b"BBBBBBBB");
+        m.store_bytes(nvm_pa, b"BBBBBBBB", Cycles::ZERO);
         m.commit_line(nvm_pa);
         let mut rng = Rng64::new(1);
         m.crash_torn(&mut rng);
@@ -1001,10 +1001,10 @@ mod tests {
         // tear it: the result must be a prefix of new words + suffix of old.
         let (mut m, _, nvm_pa) = mc();
         m.arm_power_cut(PowerSwitch::new());
-        m.store_bytes(nvm_pa, &[0x11u8; 64]);
+        m.store_bytes(nvm_pa, &[0x11u8; 64], Cycles::ZERO);
         m.commit_line(nvm_pa);
         m.nvm_drain_latency(Cycles::from_millis(1)); // old durable value: 0x11
-        m.store_bytes(nvm_pa, &[0x22u8; 64]);
+        m.store_bytes(nvm_pa, &[0x22u8; 64], Cycles::ZERO);
         m.commit_line(nvm_pa);
         // Enqueue the device write so the line is pending at crash time.
         m.access(nvm_pa, AccessKind::Write, Cycles::from_millis(1));
@@ -1030,7 +1030,7 @@ mod tests {
             let (mut m, _, nvm_pa) = mc();
             m.arm_power_cut(PowerSwitch::new());
             for i in 0..20u64 {
-                m.store_bytes(nvm_pa + i * 64, &[0xabu8; 64]);
+                m.store_bytes(nvm_pa + i * 64, &[0xabu8; 64], Cycles::ZERO);
                 m.commit_line(nvm_pa + i * 64);
                 m.access(nvm_pa + i * 64, AccessKind::Write, Cycles::ZERO);
             }
@@ -1047,9 +1047,9 @@ mod tests {
     #[test]
     fn unarmed_crash_torn_behaves_like_crash() {
         let (mut m, _, nvm_pa) = mc();
-        m.store_bytes(nvm_pa, b"AAAA");
+        m.store_bytes(nvm_pa, b"AAAA", Cycles::ZERO);
         m.commit_line(nvm_pa); // ADR: committed == durable when unarmed
-        m.store_bytes(nvm_pa, b"BBBB");
+        m.store_bytes(nvm_pa, b"BBBB", Cycles::ZERO);
         let mut rng = Rng64::new(3);
         m.crash_torn(&mut rng);
         let mut buf = [0u8; 4];
@@ -1098,7 +1098,7 @@ mod tests {
         {
             for off in (0..nvm.size).step_by(PAGE_SIZE) {
                 let pa = nvm.base + off;
-                m.store_bytes(pa, &[pattern; PAGE_SIZE]);
+                m.store_bytes(pa, &[pattern; PAGE_SIZE], Cycles::ZERO);
                 let mut buf = [0u8; PAGE_SIZE];
                 m.load_bytes(pa, &mut buf);
                 anomalies += buf.iter().map(|&b| count_fn(b)).sum::<u32>();
@@ -1129,7 +1129,7 @@ mod tests {
         {
             for off in (0..nvm.size).step_by(PAGE_SIZE) {
                 let pa = nvm.base + off;
-                m.store_bytes(pa, &[pattern; PAGE_SIZE]);
+                m.store_bytes(pa, &[pattern; PAGE_SIZE], Cycles::ZERO);
                 let mut buf = [0u8; PAGE_SIZE];
                 m.load_bytes(pa, &mut buf);
                 anomalies += buf.iter().map(|&b| count_fn(b)).sum::<u32>();
@@ -1158,7 +1158,7 @@ mod tests {
         let mut m = MemoryController::new(&cfg);
         let nvm = cfg.layout.range(MemKind::Nvm);
         for off in (0..nvm.size).step_by(PAGE_SIZE) {
-            m.store_bytes(nvm.base + off, &[0xffu8; PAGE_SIZE]);
+            m.store_bytes(nvm.base + off, &[0xffu8; PAGE_SIZE], Cycles::ZERO);
         }
         let s = m.stats();
         assert!(
@@ -1188,10 +1188,10 @@ mod tests {
     #[test]
     fn undo_snapshot_taken_once_per_line() {
         let (mut m, _, nvm_pa) = mc();
-        m.store_bytes(nvm_pa, b"first");
+        m.store_bytes(nvm_pa, b"first", Cycles::ZERO);
         m.commit_line(nvm_pa);
-        m.store_bytes(nvm_pa, b"second");
-        m.store_bytes(nvm_pa, b"third!"); // same line, snapshot must stay "first"
+        m.store_bytes(nvm_pa, b"second", Cycles::ZERO);
+        m.store_bytes(nvm_pa, b"third!", Cycles::ZERO); // same line, snapshot must stay "first"
         m.crash();
         let mut buf = [0u8; 5];
         m.load_bytes(nvm_pa, &mut buf);
@@ -1207,8 +1207,8 @@ mod tests {
         for round in 0..3u64 {
             for page in 0..4u64 {
                 let pa = dram_pa + page * PAGE_SIZE as u64;
-                m.store_bytes(pa, &[(round * 4 + page) as u8; 100]);
-                m.store_bytes(nvm_pa + page * 64, &[(round + page) as u8; 8]);
+                m.store_bytes(pa, &[(round * 4 + page) as u8; 100], Cycles::ZERO);
+                m.store_bytes(nvm_pa + page * 64, &[(round + page) as u8; 8], Cycles::ZERO);
             }
         }
         m.commit_line(nvm_pa);
@@ -1283,7 +1283,7 @@ mod tests {
             m.arm_power_cut(switch.clone());
             for round in 0..4u64 {
                 for i in 0..300u64 {
-                    m.store_bytes(nvm_pa + i * 64, &[(round + i) as u8; 64]);
+                    m.store_bytes(nvm_pa + i * 64, &[(round + i) as u8; 64], Cycles::ZERO);
                     if i % 3 == 0 {
                         m.commit_line(nvm_pa + i * 64);
                     }
@@ -1291,7 +1291,7 @@ mod tests {
             }
             m.commit_all();
             for i in 0..8u64 {
-                m.store_bytes(nvm_pa + i * 64, &[0xEE; 64]);
+                m.store_bytes(nvm_pa + i * 64, &[0xEE; 64], Cycles::ZERO);
                 m.commit_line(nvm_pa + i * 64);
             }
             switch.cut();
@@ -1319,7 +1319,7 @@ mod tests {
         let mut m = MemoryController::new(&cfg);
         for i in 0..200u64 {
             m.access(nvm_pa, AccessKind::Write, Cycles::from_nanos(i * 1_000));
-            m.store_bytes(nvm_pa, &[i as u8; 64]);
+            m.store_bytes(nvm_pa, &[i as u8; 64], Cycles::ZERO);
         }
         assert_eq!(
             m.take_failed_frames().is_empty(),
@@ -1353,7 +1353,7 @@ mod tests {
         let nvm_pa = cfg.layout.range(MemKind::Nvm).base + 0x2000;
         let mut m = MemoryController::new(&cfg);
         for i in 0..64u64 {
-            m.store_bytes(nvm_pa + i * 64, &[i as u8; 64]);
+            m.store_bytes(nvm_pa + i * 64, &[i as u8; 64], Cycles::ZERO);
             m.commit_line(nvm_pa + i * 64);
         }
         assert!(m.media_mut().is_none(), "no media-fault model may arm");
@@ -1400,7 +1400,7 @@ mod tests {
     #[test]
     fn patrol_heals_degraded_line_within_budget() {
         let (mut m, pa) = mc_with_media(2);
-        m.store_bytes(pa, &[0x5au8; 64]);
+        m.store_bytes(pa, &[0x5au8; 64], Cycles::ZERO);
         m.commit_line(pa);
         assert!(m.degrade_line_bit(pa.as_u64(), 3));
         let mut buf = [0u8; 64];
@@ -1416,7 +1416,7 @@ mod tests {
     fn patrol_heals_multiple_degraded_bits_per_line() {
         let (mut m, pa) = mc_with_media(4);
         let data: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x39).collect();
-        m.store_bytes(pa, &data);
+        m.store_bytes(pa, &data, Cycles::ZERO);
         m.commit_line(pa);
         for bit in [5, 200, 411] {
             assert!(m.degrade_line_bit(pa.as_u64(), bit));
@@ -1431,7 +1431,7 @@ mod tests {
     fn patrol_heal_and_degrade_drop_pages_they_leave_zero() {
         let (mut m, pa) = mc_with_media(2);
         // Drift sets a bit of a zero line: the page now holds data.
-        m.store_bytes(pa, &[0u8; 64]);
+        m.store_bytes(pa, &[0u8; 64], Cycles::ZERO);
         m.commit_line(pa);
         assert_eq!(m.resident_pages(), 0);
         assert!(m.degrade_line_bit(pa.as_u64(), 3));
@@ -1444,7 +1444,7 @@ mod tests {
         let next = pa + 4096;
         let mut line = [0u8; 64];
         line[0] = 1 << 5;
-        m.store_bytes(next, &line);
+        m.store_bytes(next, &line, Cycles::ZERO);
         m.commit_line(next);
         assert_eq!(m.resident_pages(), 1);
         assert!(m.degrade_line_bit(next.as_u64(), 5));
@@ -1458,7 +1458,7 @@ mod tests {
         // The store's only set bit lands on the stuck cell.
         let mut line = [0u8; 64];
         line[0] = 1 << 5;
-        m.store_bytes(pa, &line);
+        m.store_bytes(pa, &line, Cycles::ZERO);
         let mut buf = [0xffu8; 64];
         m.load_bytes(pa, &mut buf);
         assert_eq!(buf, [0u8; 64]);
@@ -1468,7 +1468,7 @@ mod tests {
     #[test]
     fn patrol_without_budget_reports_uncorrectable() {
         let (mut m, pa) = mc_with_media(0);
-        m.store_bytes(pa, &[0x11u8; 64]);
+        m.store_bytes(pa, &[0x11u8; 64], Cycles::ZERO);
         m.commit_line(pa);
         assert!(m.degrade_line_bit(pa.as_u64(), 7));
         assert_eq!(
@@ -1481,7 +1481,7 @@ mod tests {
     fn patrol_is_clean_on_untouched_frames() {
         let (mut m, pa) = mc_with_media(2);
         assert_eq!(m.patrol_frame(pa.as_u64()), PatrolOutcome::Clean);
-        m.store_bytes(pa, &[9u8; 64]);
+        m.store_bytes(pa, &[9u8; 64], Cycles::ZERO);
         assert_eq!(m.patrol_frame(pa.as_u64()), PatrolOutcome::Clean);
     }
 
@@ -1500,9 +1500,9 @@ mod tests {
         // integrity state for rolled-back lines, mirroring the
         // failed_frames/failed_set clearing in power_off_cleanup.
         let (mut m, pa) = mc_with_media(2);
-        m.store_bytes(pa, &[0xaau8; 64]);
+        m.store_bytes(pa, &[0xaau8; 64], Cycles::ZERO);
         m.commit_line(pa);
-        m.store_bytes(pa, &[0xbbu8; 64]); // dirty, never committed
+        m.store_bytes(pa, &[0xbbu8; 64], Cycles::ZERO); // dirty, never committed
         m.crash();
         let mut buf = [0u8; 64];
         m.load_bytes(pa, &mut buf);
@@ -1517,7 +1517,7 @@ mod tests {
     #[test]
     fn committed_corruption_survives_crash_and_is_detected() {
         let (mut m, pa) = mc_with_media(0);
-        m.store_bytes(pa, &[0x33u8; 64]);
+        m.store_bytes(pa, &[0x33u8; 64], Cycles::ZERO);
         m.commit_line(pa);
         assert!(m.degrade_line_bit(pa.as_u64(), 100));
         m.crash();
@@ -1533,10 +1533,10 @@ mod tests {
         for seed in 0..64u64 {
             let (mut m, pa) = mc_with_media(2);
             m.arm_power_cut(PowerSwitch::new());
-            m.store_bytes(pa, &[0x11u8; 64]);
+            m.store_bytes(pa, &[0x11u8; 64], Cycles::ZERO);
             m.commit_line(pa);
             m.nvm_drain_latency(Cycles::from_millis(1)); // old durable: 0x11
-            m.store_bytes(pa, &[0x22u8; 64]);
+            m.store_bytes(pa, &[0x22u8; 64], Cycles::ZERO);
             m.commit_line(pa);
             m.access(pa, AccessKind::Write, Cycles::from_millis(1));
             let mut rng = Rng64::new(seed);
@@ -1559,7 +1559,7 @@ mod tests {
         // The MRU slot holds its page *out* of the map; a crash must not
         // let that page dodge the DRAM wipe.
         let (mut m, dram_pa, _) = mc();
-        m.store_bytes(dram_pa, b"volatile!"); // now in the MRU slot
+        m.store_bytes(dram_pa, b"volatile!", Cycles::ZERO); // now in the MRU slot
         m.crash();
         let mut buf = [0u8; 9];
         m.load_bytes(dram_pa, &mut buf);
@@ -1569,7 +1569,7 @@ mod tests {
     #[test]
     fn crash_keeps_nvm_page_held_in_mru_slot() {
         let (mut m, _, nvm_pa) = mc();
-        m.store_bytes(nvm_pa, b"keepme");
+        m.store_bytes(nvm_pa, b"keepme", Cycles::ZERO);
         m.commit_line(nvm_pa); // durable; page sits in the MRU slot
         m.crash();
         let mut buf = [0u8; 6];

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use kindle_mem::{MemConfig, MemoryController};
-use kindle_types::{MemKind, PhysAddr, Rng64};
+use kindle_types::{Cycles, MemKind, PhysAddr, Rng64};
 
 const SEED: u64 = 0x7e57_0005;
 
@@ -28,7 +28,7 @@ fn stores_read_back() {
         for _ in 0..rng.gen_range(1, 20) {
             let off = rng.gen_below(8 << 20);
             let data: Vec<u8> = (0..rng.gen_range(1, 200)).map(|_| rng.next_u64() as u8).collect();
-            m.store_bytes(PhysAddr::new(off), &data);
+            m.store_bytes(PhysAddr::new(off), &data, Cycles::ZERO);
             for (i, b) in data.iter().enumerate() {
                 model.insert(off + i as u64, *b);
             }
@@ -56,13 +56,13 @@ fn crash_durability_is_exact() {
             let line = rng.gen_below(256);
             let value = rng.next_u64() as u8;
             let pa = PhysAddr::new(nvm_base + line * 64);
-            m.store_bytes(pa, &[value]);
+            m.store_bytes(pa, &[value], Cycles::ZERO);
             if rng.gen_below(2) == 1 {
                 m.commit_line(pa);
                 durable.insert(line, value);
             }
             // DRAM side store too.
-            m.store_bytes(PhysAddr::new(line * 64), &[value]);
+            m.store_bytes(PhysAddr::new(line * 64), &[value], Cycles::ZERO);
         }
         m.crash();
         for line in 0..256u64 {

@@ -142,11 +142,11 @@ fn run(seed: u64, torn: bool) {
             let len = 1 + rng.gen_below(max.min(WINDOW - off) as u64) as usize;
             let data = payload(&mut rng, len);
             if rng.gen_below(4) == 0 {
-                m.store_bytes(dram + off as u64, &data);
+                m.store_bytes(dram + off as u64, &data, Cycles::ZERO);
                 dram_model[off..off + len].copy_from_slice(&data);
                 continue;
             }
-            m.store_bytes(nvm + off as u64, &data);
+            m.store_bytes(nvm + off as u64, &data, Cycles::ZERO);
             model.image[off..off + len].copy_from_slice(&data);
             for line in off / 64..=(off + len - 1) / 64 {
                 model.dirty.insert(line);

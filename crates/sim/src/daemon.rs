@@ -9,9 +9,13 @@
 //! each pass on it; otherwise a due pass runs inline from the timer loop.
 
 use kindle_cpu::Activity;
-use kindle_os::DaemonKind;
-use kindle_types::Result;
+use kindle_mem::PatrolOutcome;
+use kindle_os::{
+    DaemonKind, IntegrityOutcome, Kernel, PatrolPassOutcome, PatrolState, PATROL_BATCH_FRAMES,
+};
+use kindle_types::{Cycles, PhysMem, Result};
 
+use crate::hw::Hw;
 use crate::machine::Machine;
 
 /// True when the machine's configuration runs daemon `kind` (its engine
@@ -54,35 +58,26 @@ pub(crate) fn run(m: &mut Machine, kind: DaemonKind, pid: u32) -> Result<()> {
 
 /// `ckptd`: one periodic process-persistence checkpoint.
 fn run_checkpoint(m: &mut Machine) -> Result<()> {
-    let mut result = Ok(());
-    if let Some(engine) = m.persist.as_mut() {
-        let prev = m.hw.set_activity(Activity::Checkpoint);
-        result = engine.tick(&mut m.hw, &mut m.kernel).map(|_| ());
-        m.hw.set_activity(prev);
-    }
-    result
+    let Some(engine) = m.persist.as_mut() else {
+        return Ok(());
+    };
+    m.hw.during(Activity::Checkpoint, |hw| engine.tick(hw, &mut m.kernel).map(|_| ()))
 }
 
 /// `migrated`: one HSCC page-migration scan.
 fn run_migration(m: &mut Machine, pid: u32) -> Result<()> {
     let os_mode = m.config().hscc_os_mode;
-    let mut result = Ok(());
-    let prev = m.hw.set_activity(Activity::MigrationScan);
-    let was_free = if os_mode {
-        m.hw.free_mode()
-    } else {
+    let Some(engine) = m.hscc.as_mut() else {
+        return Ok(());
+    };
+    m.hw.during(Activity::MigrationScan, |hw| {
         // Hardware-only baseline: migrations happen with no OS time
         // charged.
-        m.hw.set_free_mode(true)
-    };
-    if let Some(engine) = m.hscc.as_mut() {
-        result = engine.migrate(&mut m.hw, &mut m.kernel, &mut m.tlb, pid).map(|_| ());
-    }
-    if !os_mode {
-        m.hw.set_free_mode(was_free);
-    }
-    m.hw.set_activity(prev);
-    result
+        let was_free = hw.set_free_mode(hw.free_mode() || !os_mode);
+        let r = engine.migrate(hw, &mut m.kernel, &mut m.tlb, pid).map(|_| ());
+        hw.set_free_mode(was_free);
+        r
+    })
 }
 
 /// `scrubd`: one page-table read-verify pass against the kernel's shadow
@@ -91,40 +86,92 @@ fn run_scrub(m: &mut Machine) -> Result<()> {
     if m.scrub.is_none() {
         return Ok(());
     }
-    let prev = m.hw.set_activity(Activity::Os);
-    let outcome = m.kernel.scrub_pt_frames(&mut m.hw);
-    m.hw.set_activity(prev);
-    let outcome = outcome?;
-    for &(owner, _old_frame) in &outcome.frames_retired {
-        // The table moved: any cached translation may have been filled
-        // through the old frame.
-        m.flush_process_tlb(owner)?;
-    }
-    m.drain_meta()?;
-    let now = m.now();
-    if let Some(state) = m.scrub.as_mut() {
-        state.complete_pass(now, &outcome);
-    }
-    Ok(())
+    let outcome = m.hw.during(Activity::Os, |hw| m.kernel.scrub_pt_frames(hw))?;
+    // The table moved: any cached translation may have been filled
+    // through the old frame.
+    let owners = outcome.frames_retired.iter().map(|&(owner, _old_frame)| owner);
+    finish_pass(m, owners, |m, now| {
+        if let Some(state) = m.scrub.as_mut() {
+            state.complete_pass(now, &outcome);
+        }
+    })
 }
 
 /// `patrold`: one data-frame checksum batch over the general NVM pool.
 fn run_patrol(m: &mut Machine) -> Result<()> {
-    if m.patrol.is_none() {
+    let Some(state) = m.patrol.as_mut() else {
         return Ok(());
-    }
-    let prev = m.hw.set_activity(Activity::Os);
-    let outcome = m.patrol_data_frames();
-    m.hw.set_activity(prev);
-    let outcome = outcome?;
-    for &owner in &outcome.killed {
-        // The owner died with translations still cached.
+    };
+    let outcome = m.hw.during(Activity::Os, |hw| patrol_batch(hw, &mut m.kernel, state))?;
+    // The owner died with translations still cached.
+    finish_pass(m, outcome.killed.iter().copied(), |m, now| {
+        if let Some(state) = m.patrol.as_mut() {
+            state.complete_pass(now, &outcome);
+        }
+    })
+}
+
+/// The tail scrubd and patrold share: flushes the cached translations of
+/// every listed owner, logs the kernel's metadata records, then `complete`
+/// folds the pass into the daemon's state at the current clock.
+fn finish_pass(
+    m: &mut Machine,
+    owners: impl Iterator<Item = u32>,
+    complete: impl FnOnce(&mut Machine, Cycles),
+) -> Result<()> {
+    for owner in owners {
         m.flush_process_tlb(owner)?;
     }
     m.drain_meta()?;
     let now = m.now();
-    if let Some(state) = m.patrol.as_mut() {
-        state.complete_pass(now, &outcome);
-    }
+    complete(m, now);
     Ok(())
+}
+
+/// One patrold batch, as [`Machine::patrol_data_frames`] describes it.
+pub(crate) fn patrol_batch(
+    hw: &mut Hw,
+    kernel: &mut Kernel,
+    state: &mut PatrolState,
+) -> Result<PatrolPassOutcome> {
+    let mut out = PatrolPassOutcome::default();
+    let pool_start = kernel.pools.nvm.inner().start();
+    let capacity = kernel.pools.nvm.inner().capacity();
+    if capacity == 0 {
+        return Ok(out);
+    }
+    let mut cursor = state.cursor() % capacity;
+    // Walk the pfn space from the cursor, wrapping at most once, and
+    // verify at most one batch of allocated data frames.
+    let mut scanned = 0;
+    while scanned < capacity && out.frames_checked < PATROL_BATCH_FRAMES {
+        let pfn = pool_start + cursor;
+        cursor = (cursor + 1) % capacity;
+        scanned += 1;
+        if !kernel.pools.nvm.is_allocated(pfn) || kernel.table_frame_owner(pfn).is_some() {
+            continue;
+        }
+        out.frames_checked += 1;
+        hw.advance(Cycles::new(kernel.costs.scrub_frame_op));
+        match hw.mc.patrol_frame(pfn.base().as_u64()) {
+            PatrolOutcome::Clean => out.frames_clean += 1,
+            PatrolOutcome::Healed { lines } => {
+                hw.advance(Cycles::new(kernel.costs.scrub_line_op * lines as u64));
+                out.lines_detected += lines as u64;
+                out.lines_healed += lines as u64;
+            }
+            PatrolOutcome::Uncorrectable { lines } => {
+                out.lines_detected += lines.len() as u64;
+                match kernel.poison_or_retire_frame(hw, pfn)? {
+                    IntegrityOutcome::Poisoned { pid, .. } => {
+                        out.frames_poisoned += 1;
+                        out.killed.push(pid);
+                    }
+                    IntegrityOutcome::Retired(_) => out.frames_retired += 1,
+                }
+            }
+        }
+    }
+    state.set_cursor(cursor);
+    Ok(out)
 }

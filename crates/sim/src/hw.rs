@@ -63,6 +63,15 @@ impl Hw {
         self.core.set_activity(a)
     }
 
+    /// Runs `f` under activity label `act` and restores the previous label:
+    /// every cycle `f` charges is attributed to `act`.
+    pub fn during<R>(&mut self, act: Activity, f: impl FnOnce(&mut Hw) -> R) -> R {
+        let prev = self.set_activity(act);
+        let r = f(self);
+        self.set_activity(prev);
+        r
+    }
+
     /// One cache-line access with full timing: cache levels, line fill,
     /// dirty write-backs (which also commit NVM durability).
     pub fn access_line(&mut self, pa: PhysAddr, kind: AccessKind) -> LineOutcome {
@@ -118,7 +127,7 @@ impl PhysMem for Hw {
         if !self.free_mode {
             self.access_line(pa, AccessKind::Write);
         }
-        self.mc.store_bytes(pa, &value.to_le_bytes());
+        self.mc.store_bytes(pa, &value.to_le_bytes(), self.core.now());
         if self.free_mode {
             // DMA-style stores are durable immediately.
             self.mc.commit_line(pa);
@@ -146,7 +155,7 @@ impl PhysMem for Hw {
                 line += CACHE_LINE as u64;
             }
         }
-        self.mc.store_bytes(pa, data);
+        self.mc.store_bytes(pa, data, self.core.now());
         if self.free_mode {
             let mut line = pa.line_base();
             let end = pa + data.len() as u64;
@@ -290,9 +299,9 @@ mod tests {
     #[test]
     fn activity_attribution_flows_through() {
         let (mut hw, dram, _) = hw();
-        hw.set_activity(Activity::Checkpoint);
-        hw.access_line(dram, AccessKind::Read);
-        assert!(hw.core.breakdown().get(Activity::Checkpoint) > Cycles::ZERO);
+        let out = hw.during(Activity::Checkpoint, |hw| hw.access_line(dram, AccessKind::Read));
+        assert_eq!(hw.core.breakdown().get(Activity::Checkpoint), out.latency);
         assert_eq!(hw.core.breakdown().get(Activity::User), Cycles::ZERO);
+        assert_eq!(hw.core.activity(), Activity::User, "the bracket restores the label");
     }
 }

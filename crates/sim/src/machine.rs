@@ -5,7 +5,7 @@ use kindle_hscc::HsccEngine;
 use kindle_mem::{Backend, NvmConfig, PatrolOutcome, PowerSwitch};
 use kindle_os::{
     DaemonKind, IntegrityOutcome, Kernel, KernelConfig, PatrolPassOutcome, PatrolState,
-    RetireOutcome, ScrubState, UnmapOutcome, PATROL_BATCH_FRAMES,
+    RetireOutcome, ScrubState, UnmapOutcome,
 };
 use kindle_persist::{recover_all, CheckpointEngine, RecoveryReport};
 use kindle_ssp::SspEngine;
@@ -14,7 +14,7 @@ use kindle_trace::ReplayProgram;
 use kindle_types::sanitize::{self, ThreadId};
 use kindle_types::{
     AccessKind, Cycles, KindleError, MapFlags, MemKind, Pfn, PhysAddr, PhysMem, Prot, Pte, Result,
-    Rng64, VirtAddr, CACHE_LINE,
+    Rng64, VirtAddr, Vpn, CACHE_LINE,
 };
 
 use crate::config::MachineConfig;
@@ -50,6 +50,9 @@ const KERNEL_RESERVED_DRAM_FRAMES: u64 = 256;
 
 /// Saved-state slots the checkpoint engine carves at every boot.
 const CHECKPOINT_SLOTS: usize = 8;
+
+/// Cycles one TLB shootdown or full flush costs the caller.
+const SHOOTDOWN_CYCLES: u64 = 20;
 
 /// What one boot builds over the hardware, in boot order: the kernel, the
 /// checkpoint, SSP and HSCC engines, and the scrubd and patrold states.
@@ -255,36 +258,47 @@ impl Machine {
     ///
     /// Propagates pool exhaustion.
     pub fn spawn_process(&mut self) -> Result<u32> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let pid = self.kernel.create_process(&mut self.hw);
-        self.hw.set_activity(prev);
-        let pid = pid?;
+        let pid = self.hw.during(Activity::Os, |hw| self.kernel.create_process(hw))?;
         self.drain_meta()?;
         Ok(pid)
     }
 
+    /// Hands the kernel's pending metadata records to the checkpoint
+    /// engine's log (OS time), or drops them when checkpointing is off.
     pub(crate) fn drain_meta(&mut self) -> Result<()> {
-        if let Some(engine) = self.persist.as_mut() {
-            let recs = self.kernel.take_meta_records();
-            if !recs.is_empty() {
-                let prev = self.hw.set_activity(Activity::Os);
-                let r = engine.on_meta_records(&mut self.hw, &mut self.kernel, recs);
-                self.hw.set_activity(prev);
-                r?;
-            }
-        } else {
-            self.kernel.take_meta_records();
+        let recs = self.kernel.take_meta_records();
+        match self.persist.as_mut() {
+            Some(engine) if !recs.is_empty() => self
+                .hw
+                .during(Activity::Os, |hw| engine.on_meta_records(hw, &mut self.kernel, recs)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    fn shootdown(&mut self, outcome: &UnmapOutcome, pid: u32) -> Result<()> {
-        for vpn in &outcome.unmapped {
-            self.hw.advance(Cycles::new(20));
-            if let Some(entry) = self.tlb.invalidate(*vpn) {
-                self.tlb_shootdowns += 1;
-                self.on_tlb_dropped(pid, entry)?;
-            }
+    /// The one system-call path: `call` runs the kernel work as OS time and
+    /// returns its result with the pages it unmapped. Each of those pages
+    /// is shot down, the metadata records are logged and due timers fire,
+    /// all outside the OS bracket.
+    fn syscall<T>(
+        &mut self,
+        pid: u32,
+        call: impl FnOnce(&mut Kernel, &mut Hw) -> Result<(T, UnmapOutcome)>,
+    ) -> Result<T> {
+        let (out, unmapped) = self.hw.during(Activity::Os, |hw| call(&mut self.kernel, hw))?;
+        for vpn in unmapped.unmapped {
+            self.shootdown(pid, vpn)?;
+        }
+        self.drain_meta()?;
+        self.poll_timers(pid)?;
+        Ok(out)
+    }
+
+    /// Drops `pid`'s cached translation of `vpn`, whose mapping changed.
+    fn shootdown(&mut self, pid: u32, vpn: Vpn) -> Result<()> {
+        self.hw.advance(Cycles::new(SHOOTDOWN_CYCLES));
+        if let Some(entry) = self.tlb.invalidate(vpn) {
+            self.tlb_shootdowns += 1;
+            self.on_tlb_dropped(pid, entry)?;
         }
         Ok(())
     }
@@ -292,7 +306,7 @@ impl Machine {
     /// Flushes every cached translation of `pid` — a page-table frame was
     /// relocated, so any entry may have been filled through the old frame.
     pub(crate) fn flush_process_tlb(&mut self, pid: u32) -> Result<()> {
-        self.hw.advance(Cycles::new(20));
+        self.hw.advance(Cycles::new(SHOOTDOWN_CYCLES));
         self.tlb_shootdowns += 1;
         let dropped = self.tlb.flush_all();
         for entry in dropped {
@@ -323,13 +337,9 @@ impl Machine {
         prot: Prot,
         flags: MapFlags,
     ) -> Result<VirtAddr> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let r = self.kernel.sys_mmap(&mut self.hw, pid, hint, len, prot, flags);
-        self.hw.set_activity(prev);
-        let va = r?;
-        self.drain_meta()?;
-        self.poll_timers(pid)?;
-        Ok(va)
+        self.syscall(pid, |k, hw| {
+            Ok((k.sys_mmap(hw, pid, hint, len, prot, flags)?, UnmapOutcome::default()))
+        })
     }
 
     /// `munmap`, with TLB shootdown.
@@ -338,14 +348,7 @@ impl Machine {
     ///
     /// As [`Kernel::sys_munmap`].
     pub fn munmap(&mut self, pid: u32, addr: VirtAddr, len: u64) -> Result<()> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let r = self.kernel.sys_munmap(&mut self.hw, pid, addr, len);
-        self.hw.set_activity(prev);
-        let outcome = r?;
-        self.shootdown(&outcome, pid)?;
-        self.drain_meta()?;
-        self.poll_timers(pid)?;
-        Ok(())
+        self.syscall(pid, |k, hw| Ok(((), k.sys_munmap(hw, pid, addr, len)?)))
     }
 
     /// `mprotect`, with TLB shootdown on affected pages.
@@ -354,14 +357,7 @@ impl Machine {
     ///
     /// As [`Kernel::sys_mprotect`].
     pub fn mprotect(&mut self, pid: u32, addr: VirtAddr, len: u64, prot: Prot) -> Result<()> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let r = self.kernel.sys_mprotect(&mut self.hw, pid, addr, len, prot);
-        self.hw.set_activity(prev);
-        let outcome = r?;
-        self.shootdown(&outcome, pid)?;
-        self.drain_meta()?;
-        self.poll_timers(pid)?;
-        Ok(())
+        self.syscall(pid, |k, hw| Ok(((), k.sys_mprotect(hw, pid, addr, len, prot)?)))
     }
 
     /// `mremap` (move semantics), with TLB shootdown.
@@ -376,14 +372,7 @@ impl Machine {
         old_len: u64,
         new_len: u64,
     ) -> Result<VirtAddr> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let r = self.kernel.sys_mremap(&mut self.hw, pid, old_addr, old_len, new_len);
-        self.hw.set_activity(prev);
-        let (va, outcome) = r?;
-        self.shootdown(&outcome, pid)?;
-        self.drain_meta()?;
-        self.poll_timers(pid)?;
-        Ok(va)
+        self.syscall(pid, |k, hw| k.sys_mremap(hw, pid, old_addr, old_len, new_len))
     }
 
     /// `fork`: duplicates a process (eager page copy, as in gemOS).
@@ -392,13 +381,7 @@ impl Machine {
     ///
     /// As [`Kernel::sys_fork`].
     pub fn fork(&mut self, parent: u32) -> Result<u32> {
-        let prev = self.hw.set_activity(Activity::Os);
-        let r = self.kernel.sys_fork(&mut self.hw, parent);
-        self.hw.set_activity(prev);
-        let child = r?;
-        self.drain_meta()?;
-        self.poll_timers(parent)?;
-        Ok(child)
+        self.syscall(parent, |k, hw| Ok((k.sys_fork(hw, parent)?, UnmapOutcome::default())))
     }
 
     /// One 8-byte access.
@@ -539,10 +522,7 @@ impl Machine {
             Ok(o) => o,
             Err(_) => {
                 // Page fault into the kernel.
-                let prev = self.hw.set_activity(Activity::Os);
-                let fault = self.kernel.handle_fault(&mut self.hw, pid, va, kind);
-                self.hw.set_activity(prev);
-                fault?;
+                self.hw.during(Activity::Os, |hw| self.kernel.handle_fault(hw, pid, va, kind))?;
                 self.drain_meta()?;
                 let root = self.kernel.process(pid)?.aspace.root();
                 let mut walker = std::mem::take(&mut self.walker);
@@ -598,7 +578,8 @@ impl Machine {
         Ok(())
     }
 
-    /// One patrold batch: walks up to [`PATROL_BATCH_FRAMES`] allocated
+    /// One patrold batch: walks up to
+    /// [`PATROL_BATCH_FRAMES`](kindle_os::PATROL_BATCH_FRAMES) allocated
     /// general-pool NVM frames from the engine's cursor (wrapping at the
     /// pool end) and checksum-verifies each against the controller's
     /// store-time sums. A mismatching line is healed through the ECP
@@ -615,53 +596,10 @@ impl Machine {
     ///
     /// Propagates kernel failures while poisoning or retiring a frame.
     pub fn patrol_data_frames(&mut self) -> Result<PatrolPassOutcome> {
-        let mut out = PatrolPassOutcome::default();
-        let Some(state) = self.patrol.as_ref() else {
-            return Ok(out);
-        };
-        let pool_start = self.kernel.pools.nvm.inner().start();
-        let capacity = self.kernel.pools.nvm.inner().capacity();
-        if capacity == 0 {
-            return Ok(out);
+        match self.patrol.as_mut() {
+            Some(state) => daemon::patrol_batch(&mut self.hw, &mut self.kernel, state),
+            None => Ok(PatrolPassOutcome::default()),
         }
-        let mut cursor = state.cursor() % capacity;
-        // Walk the pfn space from the cursor, wrapping at most once, and
-        // verify at most one batch of allocated data frames.
-        let mut scanned = 0;
-        while scanned < capacity && out.frames_checked < PATROL_BATCH_FRAMES {
-            let pfn = pool_start + cursor;
-            cursor = (cursor + 1) % capacity;
-            scanned += 1;
-            if !self.kernel.pools.nvm.is_allocated(pfn)
-                || self.kernel.table_frame_owner(pfn).is_some()
-            {
-                continue;
-            }
-            out.frames_checked += 1;
-            self.hw.advance(Cycles::new(self.kernel.costs.scrub_frame_op));
-            match self.hw.mc.patrol_frame(pfn.base().as_u64()) {
-                PatrolOutcome::Clean => out.frames_clean += 1,
-                PatrolOutcome::Healed { lines } => {
-                    self.hw.advance(Cycles::new(self.kernel.costs.scrub_line_op * lines as u64));
-                    out.lines_detected += lines as u64;
-                    out.lines_healed += lines as u64;
-                }
-                PatrolOutcome::Uncorrectable { lines } => {
-                    out.lines_detected += lines.len() as u64;
-                    match self.kernel.poison_or_retire_frame(&mut self.hw, pfn)? {
-                        IntegrityOutcome::Poisoned { pid, .. } => {
-                            out.frames_poisoned += 1;
-                            out.killed.push(pid);
-                        }
-                        IntegrityOutcome::Retired(_) => out.frames_retired += 1,
-                    }
-                }
-            }
-        }
-        if let Some(state) = self.patrol.as_mut() {
-            state.set_cursor(cursor);
-        }
-        Ok(out)
     }
 
     /// Fires every engine whose deadline passed. Called after each access
@@ -682,34 +620,21 @@ impl Machine {
             for raw in self.hw.mc.take_failed_frames() {
                 let pfn = Pfn::new(raw);
                 let verdict = self.hw.mc.patrol_frame(pfn.base().as_u64());
-                let prev = self.hw.set_activity(Activity::Os);
-                let r = match verdict {
+                let outcome = self.hw.during(Activity::Os, |hw| match verdict {
                     PatrolOutcome::Uncorrectable { .. } => {
-                        self.kernel.poison_or_retire_frame(&mut self.hw, pfn)
+                        self.kernel.poison_or_retire_frame(hw, pfn)
                     }
-                    _ => self
-                        .kernel
-                        .retire_nvm_frame(&mut self.hw, pfn)
-                        .map(IntegrityOutcome::Retired),
-                };
-                self.hw.set_activity(prev);
-                match r? {
+                    _ => self.kernel.retire_nvm_frame(hw, pfn).map(IntegrityOutcome::Retired),
+                })?;
+                match outcome {
                     IntegrityOutcome::Retired(RetireOutcome::Remapped {
                         pid: owner, vpn, ..
-                    }) => {
-                        self.hw.advance(Cycles::new(20));
-                        if let Some(entry) = self.tlb.invalidate(vpn) {
-                            self.tlb_shootdowns += 1;
-                            self.on_tlb_dropped(owner, entry)?;
-                        }
-                    }
-                    IntegrityOutcome::Retired(RetireOutcome::TableRelocated { pid: owner }) => {
-                        self.flush_process_tlb(owner)?;
+                    }) => self.shootdown(owner, vpn)?,
+                    IntegrityOutcome::Retired(RetireOutcome::TableRelocated { pid: owner })
+                    | IntegrityOutcome::Poisoned { pid: owner, .. } => {
+                        self.flush_process_tlb(owner)?
                     }
                     IntegrityOutcome::Retired(RetireOutcome::Quarantined) => {}
-                    IntegrityOutcome::Poisoned { pid: owner, .. } => {
-                        self.flush_process_tlb(owner)?;
-                    }
                 }
                 self.drain_meta()?;
                 fired = true;
@@ -724,15 +649,14 @@ impl Machine {
 
             if let Some(engine) = self.ssp.as_mut() {
                 if engine.consolidation_due(now) {
-                    let prev = self.hw.set_activity(Activity::Consolidation);
-                    engine.consolidate(&mut self.hw, &self.kernel.costs);
-                    self.hw.set_activity(prev);
+                    let costs = &self.kernel.costs;
+                    self.hw.during(Activity::Consolidation, |hw| engine.consolidate(hw, costs));
                     fired = true;
                 }
                 if engine.interval_due(self.hw.now()) {
-                    let prev = self.hw.set_activity(Activity::SspInterval);
-                    engine.end_interval(&mut self.hw, &mut self.tlb, &self.kernel.costs);
-                    self.hw.set_activity(prev);
+                    self.hw.during(Activity::SspInterval, |hw| {
+                        engine.end_interval(hw, &mut self.tlb, &self.kernel.costs)
+                    });
                     fired = true;
                 }
             }
@@ -807,10 +731,10 @@ impl Machine {
 
         if opts.fase {
             if let Some(engine) = self.ssp.as_mut() {
-                let prev = self.hw.set_activity(Activity::SspInterval);
-                engine.end_interval(&mut self.hw, &mut self.tlb, &self.kernel.costs);
-                engine.fase_end();
-                self.hw.set_activity(prev);
+                self.hw.during(Activity::SspInterval, |hw| {
+                    engine.end_interval(hw, &mut self.tlb, &self.kernel.costs);
+                    engine.fase_end();
+                });
             }
             self.msr.nvm_range = None;
         }
@@ -885,18 +809,18 @@ impl Machine {
             .ok_or(KindleError::InvalidArgument("checkpointing not enabled"))?;
         let area = *engine.area();
         let log = *engine.log();
-        let prev = self.hw.set_activity(Activity::Recovery);
-        let report = recover_all(&mut self.hw, &mut self.kernel, &area, &log);
-        if report.is_ok() && self.scrub.is_some() {
-            // Scrubd verifies against shadow metadata, which "just restore
-            // the PTBR" recovery does not rebuild: walk the adopted tables
-            // once (charged as recovery work). Machines without scrubd
-            // skip this, keeping plain persistent recovery as cheap as
-            // ever.
-            self.kernel.rehydrate_all_tables(&mut self.hw);
-        }
-        self.hw.set_activity(prev);
-        report
+        self.hw.during(Activity::Recovery, |hw| {
+            let report = recover_all(hw, &mut self.kernel, &area, &log);
+            if report.is_ok() && self.scrub.is_some() {
+                // Scrubd verifies against shadow metadata, which "just
+                // restore the PTBR" recovery does not rebuild: walk the
+                // adopted tables once (charged as recovery work). Machines
+                // without scrubd skip this, keeping plain persistent
+                // recovery as cheap as ever.
+                self.kernel.rehydrate_all_tables(hw);
+            }
+            report
+        })
     }
 
     /// Forces a checkpoint immediately (outside the periodic schedule).
@@ -905,31 +829,24 @@ impl Machine {
     ///
     /// `InvalidArgument` if checkpointing is not enabled.
     pub fn checkpoint_now(&mut self) -> Result<()> {
-        if self.persist.is_none() {
-            return Err(KindleError::InvalidArgument("checkpointing not enabled"));
-        }
         // With kthreads on, even explicit checkpoints execute on the
-        // daemon's context, so their NVM writes carry its thread id.
-        if let Some(tid) = self.kernel.sched.daemon_tid(DaemonKind::Checkpoint) {
+        // daemon's context, so their NVM writes carry its thread id. Only a
+        // machine with a checkpoint engine has a ckptd.
+        let ckptd = self.kernel.sched.daemon_tid(DaemonKind::Checkpoint);
+        if let Some(tid) = ckptd {
             self.kernel.sched.wake(tid);
             self.context_switch_to(tid);
-            let mut r = Ok(());
-            if let Some(engine) = self.persist.as_mut() {
-                let prev = self.hw.set_activity(Activity::Checkpoint);
-                r = engine.checkpoint(&mut self.hw, &mut self.kernel);
-                self.hw.set_activity(prev);
+        }
+        let r = match self.persist.as_mut() {
+            Some(engine) => {
+                self.hw.during(Activity::Checkpoint, |hw| engine.checkpoint(hw, &mut self.kernel))
             }
+            None => Err(KindleError::InvalidArgument("checkpointing not enabled")),
+        };
+        if let Some(tid) = ckptd {
             self.kernel.sched.sleep(tid);
             self.context_switch_to(ThreadId::MAIN);
-            return r;
         }
-        let engine = self
-            .persist
-            .as_mut()
-            .ok_or(KindleError::InvalidArgument("checkpointing not enabled"))?;
-        let prev = self.hw.set_activity(Activity::Checkpoint);
-        let r = engine.checkpoint(&mut self.hw, &mut self.kernel);
-        self.hw.set_activity(prev);
         r
     }
 

@@ -8,14 +8,19 @@
 //! bench: lean TLBs, low-associativity caches and the media-fault model
 //! armed. Their final clock, memory counters and cache counters are pinned
 //! exactly, so any change to the cost of a store on the host must leave the
-//! simulated machine untouched.
+//! simulated machine untouched. A store's `NvmWrite` events must carry the
+//! clock it happened at.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use kindle_cache::HierarchyStats;
 use kindle_mem::{MediaFaultConfig, MemStats};
 use kindle_os::PtMode;
 use kindle_sim::{Machine, MachineConfig};
 use kindle_tlb::TlbConfig;
-use kindle_types::{AccessKind, MapFlags, Prot, PAGE_SIZE};
+use kindle_types::sanitize::{self, Event, Sanitizer, ThreadId};
+use kindle_types::{AccessKind, Cycles, MapFlags, MemKind, PhysMem, Prot, PAGE_SIZE};
 
 const PAGES: u64 = 256;
 const ROUNDS: u64 = 6;
@@ -123,4 +128,35 @@ fn worn_and_stuck_zero_fill_churn_is_pinned() {
         cache_counters(&caches),
         [24_076, 42_305, 40_254, 58_202, 23_202, 14_402, 16_301, 21_303, 0, 4_536]
     );
+}
+
+/// Records the cycle of every `NvmWrite` event.
+struct NvmWriteCycles(Rc<RefCell<Vec<u64>>>);
+
+impl Sanitizer for NvmWriteCycles {
+    fn on_event(&mut self, _tid: ThreadId, ev: &Event) {
+        if let Event::NvmWrite { cycle, .. } = *ev {
+            self.0.borrow_mut().push(cycle);
+        }
+    }
+}
+
+/// A store through the hardware emits one `NvmWrite` per NVM line, stamped
+/// with the clock after its line accesses: a cycle kill point fires on it
+/// and an undrained-checkpoint report names when the line was written.
+#[test]
+fn nvm_writes_carry_the_store_clock() {
+    let mut m = Machine::new(MachineConfig::small()).unwrap();
+    let pa = m.hw.mc.layout().range(MemKind::Nvm).base + 0x10_0000;
+    m.hw.advance(Cycles::new(1000));
+    let cycles = Rc::new(RefCell::new(Vec::new()));
+    let guard = sanitize::install(Box::new(NvmWriteCycles(cycles.clone())));
+    m.hw.write_u64(pa, 0xfeed);
+    let after_word = m.now().as_u64();
+    // Eight bytes across a line boundary: two lines, one clock.
+    m.hw.write_bytes(pa + 60, &[7; 8]);
+    let after_span = m.now().as_u64();
+    drop(guard);
+    assert!(after_word > 1000, "the line access charged time");
+    assert_eq!(*cycles.borrow(), [after_word, after_span, after_span]);
 }

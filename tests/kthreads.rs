@@ -96,9 +96,9 @@ fn unsynchronized_cross_thread_nvm_write_is_flagged() {
 
     // Seeded bug: two simulated threads store to the same NVM line with no
     // persist barrier or lock between them.
-    m.hw.mc.store_bytes(line, &[0xAA; 8]);
+    m.hw.mc.store_bytes(line, &[0xAA; 8], m.now());
     let prev = sanitize::set_current_thread(ThreadId(7));
-    m.hw.mc.store_bytes(line, &[0xBB; 8]);
+    m.hw.mc.store_bytes(line, &[0xBB; 8], m.now());
     sanitize::set_current_thread(prev);
 
     let races: Vec<_> = log
@@ -125,11 +125,11 @@ fn barrier_between_threads_silences_the_race_rule() {
     let mut m = Machine::new(MachineConfig::small()).expect("machine boots");
     let line = m.hw.mc.layout().range(MemKind::Nvm).base;
 
-    m.hw.mc.store_bytes(line, &[0xAA; 8]);
+    m.hw.mc.store_bytes(line, &[0xAA; 8], m.now());
     // An explicit drain orders the epochs: the second write happens-after.
     sanitize::emit(|| sanitize::Event::NvmDrain { cycle: m.now().as_u64() });
     let prev = sanitize::set_current_thread(ThreadId(7));
-    m.hw.mc.store_bytes(line, &[0xBB; 8]);
+    m.hw.mc.store_bytes(line, &[0xBB; 8], m.now());
     sanitize::set_current_thread(prev);
 
     assert!(

@@ -69,9 +69,7 @@ fn processes_checkpoint_and_destroy_independently() {
     m.checkpoint_now().unwrap();
 
     // Destroy a; b keeps running and surviving crashes.
-    let prev = m.hw.set_activity(kindle::cpu::Activity::Os);
-    m.kernel.destroy_process(&mut m.hw, a).unwrap();
-    m.hw.set_activity(prev);
+    m.hw.during(kindle::cpu::Activity::Os, |hw| m.kernel.destroy_process(hw, a)).unwrap();
     m.checkpoint_now().unwrap();
     m.crash().unwrap();
     let report = m.recover().unwrap();

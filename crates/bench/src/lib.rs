@@ -313,8 +313,9 @@ impl Harness {
     pub fn maybe_json_body(&self, body: &str) {
         let Some(path) = &self.json_path else { return };
         // Wall-clock time is confined to this envelope field: it is host
-        // time for CI trend lines, never simulated time (KD001 keeps wall
-        // clocks out of the simulation crates; the bench crate is exempt).
+        // time for CI trend lines, never simulated time (clippy.toml keeps
+        // wall clocks out of the simulation crates; this crate's manifest
+        // allows them).
         let elapsed_ms = self.started.elapsed().as_millis();
         let data = format!(
             "{{\n\"jobs\": {},\n\"elapsed_ms\": {},\n\"backend\": \"{}\",\n\"rows\": {}\n}}\n",

@@ -25,6 +25,8 @@
 //! assert!(second.latency < first.latency);
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod cache;
 pub mod hierarchy;
 

@@ -1,6 +1,6 @@
 //@path crates/os/src/frames.rs
 // Ordered maps outside crates/mem are the *recommended* deterministic
-// collection (KD002 pushes HashMap users here); KD012 must stay silent.
+// collection (clippy pushes HashMap users here); KD012 must stay silent.
 use std::collections::BTreeMap;
 
 pub fn count(m: &BTreeMap<u64, u64>) -> usize {

@@ -10,7 +10,7 @@
 //!
 //!    ```text
 //!    # comment
-//!    KD004 crates/os/src/vma.rs expect("re-inserting
+//!    KD003 crates/os/src/frame.rs (pfn as u32)
 //!    ```
 //!
 //!    Fields are rule id, workspace-relative path, and a substring that
@@ -122,51 +122,51 @@ mod tests {
 
     #[test]
     fn allowlist_parses_and_rejects() {
-        let body = "# header\nKD004 crates/os/src/vma.rs expect(\"re-inserting\n\nbadline\n";
+        let body = "# header\nKD003 crates/os/src/frame.rs (pfn as u32)\n\nbadline\n";
         let (entries, errors) = parse_allowlist(body);
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].rule, "KD004");
-        assert_eq!(entries[0].path, "crates/os/src/vma.rs");
+        assert_eq!(entries[0].rule, "KD003");
+        assert_eq!(entries[0].path, "crates/os/src/frame.rs");
         assert_eq!(errors.len(), 1);
         assert!(errors[0].contains(":4:"), "{}", errors[0]);
     }
 
     #[test]
     fn inline_allow_requires_rule_and_reason() {
-        let src = "x.unwrap(); // check:allow KD004: init-only path\n";
-        let d = Diagnostic::new("f.rs", 1, "KD004", "m");
+        let src = "let w = pfn as u32; // check:allow KD003: bitmap index\n";
+        let d = Diagnostic::new("f.rs", 1, "KD003", "m");
         assert!(inline_allowed(&d, src));
         // Wrong rule id does not suppress.
-        let d2 = Diagnostic::new("f.rs", 1, "KD002", "m");
+        let d2 = Diagnostic::new("f.rs", 1, "KD013", "m");
         assert!(!inline_allowed(&d2, src));
         // Bare allow without a reason does not suppress.
-        let bare = "x.unwrap(); // check:allow KD004\n";
+        let bare = "let w = pfn as u32; // check:allow KD003\n";
         assert!(!inline_allowed(&d, bare));
     }
 
     #[test]
     fn inline_allow_on_preceding_line() {
-        let src = "// check:allow KD004: provably disjoint\nx.unwrap();\n";
-        let d = Diagnostic::new("f.rs", 2, "KD004", "m");
+        let src = "// check:allow KD003: bitmap index\nlet w = pfn as u32;\n";
+        let d = Diagnostic::new("f.rs", 2, "KD003", "m");
         assert!(inline_allowed(&d, src));
     }
 
     #[test]
     fn allowlist_suppresses_matching_line() {
         let entries = vec![AllowEntry {
-            rule: "KD004".into(),
-            path: "crates/os/src/vma.rs".into(),
-            pattern: "expect(\"re-inserting".into(),
+            rule: "KD003".into(),
+            path: "crates/os/src/frame.rs".into(),
+            pattern: "(pfn as u32)".into(),
         }];
         let diags = vec![
-            Diagnostic::new("crates/os/src/vma.rs", 9, "KD004", "m"),
-            Diagnostic::new("crates/os/src/vma.rs", 12, "KD004", "m"),
+            Diagnostic::new("crates/os/src/frame.rs", 9, "KD003", "m"),
+            Diagnostic::new("crates/os/src/frame.rs", 12, "KD003", "m"),
         ];
         let (kept, suppressed, _) = apply_allowlist(diags, &entries, |d| {
             if d.line == 9 {
-                Some("self.insert(v).expect(\"re-inserting carved\");".to_string())
+                Some("self.bits.set(usize::from(pfn as u32));".to_string())
             } else {
-                Some("other.unwrap();".to_string())
+                Some("let w = vpn as u16;".to_string())
             }
         });
         assert_eq!(suppressed.len(), 1);

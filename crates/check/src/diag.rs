@@ -9,7 +9,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number (0 for whole-file findings).
     pub line: usize,
-    /// Rule id, e.g. `KD002`.
+    /// Rule id, e.g. `KD003`.
     pub rule: &'static str,
     /// Human explanation.
     pub message: String,
@@ -69,19 +69,19 @@ mod tests {
 
     #[test]
     fn display_format() {
-        let d = Diagnostic::new("crates/os/src/x.rs", 7, "KD004", "no unwrap");
-        assert_eq!(d.to_string(), "crates/os/src/x.rs:7: KD004 no unwrap");
+        let d = Diagnostic::new("crates/os/src/x.rs", 7, "KD003", "no cast");
+        assert_eq!(d.to_string(), "crates/os/src/x.rs:7: KD003 no cast");
     }
 
     #[test]
     fn json_rows_escape_and_order() {
         let diags = vec![
-            Diagnostic::new("a.rs", 1, "KD002", "no \"hash\" maps"),
-            Diagnostic::new("b.rs", 2, "KD004", "plain"),
+            Diagnostic::new("a.rs", 1, "KD012", "no \"ordered\" maps"),
+            Diagnostic::new("b.rs", 2, "KD003", "plain"),
         ];
         let json = to_json(&diags);
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-        assert!(json.contains("\\\"hash\\\""), "{json}");
+        assert!(json.contains("\\\"ordered\\\""), "{json}");
         assert!(json.contains("\"line\": 2"), "{json}");
         assert_eq!(to_json(&[]), "[\n]");
     }

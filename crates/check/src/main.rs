@@ -2,10 +2,11 @@
 //!
 //! Walks every Rust source file and `Cargo.toml` in the workspace and
 //! enforces the determinism / persistence rules described in `rules` and
-//! `manifest` (KD001–KD013). Violations print as `path:line: KDnnn message`
-//! and make the process exit non-zero; suppressions go through the two
-//! mechanisms in `allow` (inline `// check:allow KDnnn: reason` comments
-//! and the root `check-allowlist.txt`).
+//! `manifest` (KD003, KD005, KD006, KD009, KD010, KD012, KD013). Violations
+//! print as `path:line: KDnnn message` and make the process exit non-zero;
+//! suppressions go through the two mechanisms in `allow` (inline
+//! `// check:allow KDnnn: reason` comments and the root
+//! `check-allowlist.txt`).
 //!
 //! Usage: `cargo run -p kindle-check [-- [root] [--json <path>]]`
 //!

@@ -3,20 +3,18 @@
 //!
 //! | Rule  | What it enforces                                                 |
 //! |-------|------------------------------------------------------------------|
-//! | KD001 | no `std::time` / `SystemTime` / `Instant` in simulation crates   |
-//! | KD002 | no `HashMap`/`HashSet` in simulation crates (use `BTreeMap`/`BTreeSet`) |
 //! | KD003 | no truncating `as u8/u16/u32` casts in statements handling address/cycle values outside `crates/types` |
-//! | KD004 | no `.unwrap()`/`.expect(` in non-test `crates/os` / `crates/persist` code |
 //! | KD006 | no raw `+`/`-` arithmetic inside `Cycles::new(..)` outside `crates/types` |
-//! | KD007 | no host threads (`std::thread`, `thread::spawn/scope`) outside `kindle_core::parallel` |
-//! | KD008 | one ambient channel: no `thread_local` outside the sanitizer (`crates/types/src/sanitize.rs`); run settings travel as an explicit `RunSettings`, and the removed seed-only fault channel stays removed |
 //! | KD009 | NVM-mutating primitives in `mem`/`os`/`persist` emit their sanitize event on every path, or sit inside a checkpoint bracket |
 //! | KD010 | `LockAcquire`/`LockRelease` emissions balance per `LOCK_*` id on all paths, early exits included |
-//! | KD011 | no `todo!`/`unimplemented!`/`unreachable!` in non-test simulation code |
 //! | KD012 | no `BTreeMap`/`BTreeSet` in any `crates/mem` source file (flat tables only) |
 //! | KD013 | no direct `NvmConfig` latency/endurance field access outside the `crates/mem` backend modules (go through the `Backend` methods) |
 //!
 //! (KD005, the external-dependency rule, lives in [`crate::manifest`].)
+//! The bans on wall clocks, hash-ordered collections, host threads,
+//! thread-locals, panicking stubs and kernel unwraps resolve paths rather
+//! than names, so clippy enforces them (root `clippy.toml` and the lint
+//! levels at each crate root).
 //!
 //! Because the rules see tokens, string literals and comments can never
 //! produce a finding, and multi-line expressions are analyzed natively.
@@ -30,16 +28,11 @@ use crate::diag::Diagnostic;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::syntax::{self, Block, Function, Node};
 
-/// Crates whose state must be deterministic and free of wall-clock time.
-/// `check` (this tool) and `bench` (host-side measurement harnesses) are
-/// deliberately outside the simulation.
+/// Simulation crates, whose lock events KD010 balances. `check` (this
+/// tool) and `bench` (host-side measurement harnesses) are deliberately
+/// outside the simulation.
 pub fn is_sim_crate(krate: &str) -> bool {
     !matches!(krate, "check" | "bench")
-}
-
-/// Crates held to the no-panic discipline (KD004).
-pub fn is_no_panic_crate(krate: &str) -> bool {
-    matches!(krate, "os" | "persist")
 }
 
 /// Crates whose NVM-mutating primitives are under KD009's event-coverage
@@ -48,18 +41,6 @@ pub fn is_no_panic_crate(krate: &str) -> bool {
 pub fn is_nvm_discipline_crate(krate: &str) -> bool {
     matches!(krate, "mem" | "os" | "persist")
 }
-
-/// The one file allowed to touch host threads (KD007): the deterministic
-/// fork-join executor. Everything else — bench binaries included — must
-/// go through its `par_map`, so worker scheduling can never reach
-/// simulation state or reorder results.
-const THREAD_HOME: &str = "crates/core/src/parallel.rs";
-
-/// The one file allowed to declare host-thread-locals (KD008): the
-/// sanitizer installation, which `par_map_cells` deliberately re-creates
-/// per cell. Ambient state anywhere else would have to be copied onto
-/// workers by hand — the drift this rule exists to prevent.
-const THREAD_LOCAL_HOME: &str = "crates/types/src/sanitize.rs";
 
 /// `NvmConfig` latency/endurance fields whose direct access is banned
 /// outside the backend modules (KD013). Every other layer reads timing
@@ -143,7 +124,6 @@ pub fn check_source(rel_path: &str, krate: Option<&str>, source: &str) -> Vec<Di
     tokens.truncate(syntax::test_cut(&tokens));
 
     let sim = krate.map(is_sim_crate).unwrap_or(false);
-    let no_panic = krate.map(is_no_panic_crate).unwrap_or(false);
     let types_crate = krate == Some("types");
     let nvm_discipline = krate.map(is_nvm_discipline_crate).unwrap_or(false);
     // KD012: the memory controller is hot-path throughout and must use the
@@ -153,7 +133,7 @@ pub fn check_source(rel_path: &str, krate: Option<&str>, source: &str) -> Vec<Di
     let nvm_fields_banned = !NVM_FIELD_ALLOW.contains(&rel_path);
 
     let mut out = Vec::new();
-    flat_rules(rel_path, sim, no_panic, types_crate, mem_hot, nvm_fields_banned, &tokens, &mut out);
+    flat_rules(rel_path, types_crate, mem_hot, nvm_fields_banned, &tokens, &mut out);
 
     if sim || nvm_discipline {
         let root = syntax::parse(&tokens);
@@ -173,11 +153,8 @@ pub fn check_source(rel_path: &str, krate: Option<&str>, source: &str) -> Vec<Di
 
 /// The token-window rules: everything that needs no per-function
 /// control-flow, just the (test-truncated) stream.
-#[allow(clippy::too_many_arguments)]
 fn flat_rules(
     rel_path: &str,
-    sim: bool,
-    no_panic: bool,
     types_crate: bool,
     mem_hot: bool,
     nvm_fields_banned: bool,
@@ -191,46 +168,10 @@ fn flat_rules(
     };
 
     for (i, t) in tokens.iter().enumerate() {
-        if sim
-            && (t.is_ident("SystemTime")
-                || t.is_ident("Instant")
-                || seq_at(tokens, i, &["std", ":", ":", "time"]))
-        {
-            hit("KD001", t.line);
-        }
-        if sim && (t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            hit("KD002", t.line);
-        }
-        if no_panic
-            && t.is_punct('.')
-            && tokens.get(i + 1).is_some_and(|n| n.is_ident("unwrap") || n.is_ident("expect"))
-            && tokens.get(i + 2).is_some_and(|n| n.is_punct('('))
-        {
-            hit("KD004", tokens[i + 1].line);
-        }
         if !types_crate && seq_at(tokens, i, &["Cycles", ":", ":", "new", "("]) {
             if let Some(line) = cycles_new_arithmetic(tokens, i + 5) {
                 hit("KD006", line);
             }
-        }
-        if rel_path != THREAD_HOME
-            && (seq_at(tokens, i, &["std", ":", ":", "thread"])
-                || seq_at(tokens, i, &["thread", ":", ":", "spawn"])
-                || seq_at(tokens, i, &["thread", ":", ":", "scope"]))
-        {
-            hit("KD007", t.line);
-        }
-        if t.is_ident("set_thread_media_fault_seed")
-            || t.is_ident("thread_media_fault_seed")
-            || (t.is_ident("thread_local") && rel_path != THREAD_LOCAL_HOME)
-        {
-            hit("KD008", t.line);
-        }
-        if sim
-            && (t.is_ident("todo") || t.is_ident("unimplemented") || t.is_ident("unreachable"))
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            hit("KD011", t.line);
         }
         if mem_hot && (t.is_ident("BTreeMap") || t.is_ident("BTreeSet")) {
             hit("KD012", t.line);
@@ -314,40 +255,13 @@ fn kd003_statements(tokens: &[Token<'_>], hit: &mut impl FnMut(usize)) {
 /// Canonical message per rule id.
 fn message_of(rule: &str) -> &'static str {
     match rule {
-        "KD001" => {
-            "wall-clock time in a simulation crate; all time must come from the \
-             simulated clock (kindle_types::Cycles)"
-        }
-        "KD002" => {
-            "hash-ordered collection in a simulation crate; iteration order is \
-             nondeterministic — use BTreeMap/BTreeSet"
-        }
         "KD003" => {
             "truncating cast on an address/cycle value outside crates/types; \
              widths are owned by the newtypes"
         }
-        "KD004" => {
-            "unwrap/expect in kernel or persistence code; return a KindleError \
-             so simulated faults stay recoverable"
-        }
         "KD006" => {
             "raw +/- inside Cycles::new(..); build each term as Cycles and \
              combine the newtypes so the saturation policy applies"
-        }
-        "KD007" => {
-            "host threads outside kindle_core::parallel; route fork-join work \
-             through par_map so results stay independent of worker count"
-        }
-        "KD008" => {
-            "second ambient channel; pass run-wide settings explicitly in \
-             kindle_sim::RunSettings (crates/sim/src/config.rs) — add a \
-             field there (the seed-only fault channel is \
-             RunSettings::faults, a full MediaFaultConfig)"
-        }
-        "KD011" => {
-            "todo!/unimplemented!/unreachable! in simulation code; model the \
-             case explicitly or return a KindleError so fault injection cannot \
-             reach a panic"
         }
         "KD012" => {
             "ordered map in the memory controller's hot path; use the \
@@ -678,33 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn kd001_flags_wall_clock() {
-        let d = check_source("crates/sim/src/x.rs", Some("sim"), "let t = Instant::now();\n");
-        assert_eq!(rules_of(&d), ["KD001"]);
-        let d = check_source("crates/mem/src/x.rs", Some("mem"), "use std::time::SystemTime;\n");
-        assert_eq!(rules_of(&d), ["KD001"]);
-    }
-
-    #[test]
-    fn kd001_skips_non_sim_crates_and_strings() {
-        let d = check_source("crates/bench/src/x.rs", Some("bench"), "let t = Instant::now();\n");
-        assert!(d.is_empty());
-        let d = check_source("crates/os/src/x.rs", Some("os"), "let s = \"Instant\";\n");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn kd002_flags_hash_collections_once_per_line() {
-        let src = "use std::collections::HashMap;\nlet s: HashSet<u64>;\n";
-        let d = check_source("crates/os/src/x.rs", Some("os"), src);
-        assert_eq!(rules_of(&d), ["KD002", "KD002"]);
-        // In a comment or string: invisible.
-        let src = "// a HashMap would be wrong\nlet s = \"HashSet\";\n";
-        let d = check_source("crates/os/src/x.rs", Some("os"), src);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
     fn kd012_flags_ordered_maps_in_every_mem_file_only() {
         let src = "use std::collections::BTreeMap;\nlet s: BTreeSet<u64>;\n";
         // No crates/mem source file is exempt: every real one fires.
@@ -718,7 +605,7 @@ mod tests {
             files += 1;
         }
         assert!(files > 1, "crates/mem/src lists its modules");
-        // Other crates are KD002 territory, not KD012's.
+        // Other crates are clippy's `disallowed-types` territory, not KD012's.
         let d = check_source("crates/os/src/x.rs", Some("os"), src);
         assert!(d.is_empty(), "{d:?}");
         // Comments and strings are invisible as always.
@@ -755,25 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn kd004_scoped_to_os_and_persist() {
-        let d = check_source("crates/persist/src/x.rs", Some("persist"), "x.unwrap();\n");
-        assert_eq!(rules_of(&d), ["KD004"]);
-        let d = check_source("crates/os/src/x.rs", Some("os"), "y.expect(\"m\");\n");
-        assert_eq!(rules_of(&d), ["KD004"]);
-        let d = check_source("crates/mem/src/x.rs", Some("mem"), "x.unwrap();\n");
-        assert!(d.is_empty());
-        // Multi-line method chains are seen natively.
-        let src = "let v = map.get(&k)\n    .unwrap();\n";
-        let d = check_source("crates/os/src/x.rs", Some("os"), src);
-        assert_eq!(rules_of(&d), ["KD004"]);
-        assert_eq!(d[0].line, 2);
-        // Inside a raw string: invisible.
-        let src = "let s = r#\"x.unwrap()\"#;\n";
-        let d = check_source("crates/os/src/x.rs", Some("os"), src);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
     fn kd006_flags_arithmetic_inside_cycles_new() {
         let d = check_source("crates/os/src/x.rs", Some("os"), "Cycles::new(base + 4);\n");
         assert_eq!(rules_of(&d), ["KD006"]);
@@ -802,102 +670,6 @@ mod tests {
             Some("os"),
             "Cycles::new(apply(|| -> u64 { 4 }));\n",
         );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn kd007_flags_host_threads_everywhere_but_the_executor() {
-        let d = check_source("crates/sim/src/x.rs", Some("sim"), "std::thread::spawn(f);\n");
-        assert_eq!(rules_of(&d), ["KD007"]);
-        // bench is NOT exempt: its binaries must parallelize via par_map.
-        let d = check_source("crates/bench/src/x.rs", Some("bench"), "thread::scope(|s| {});\n");
-        assert_eq!(rules_of(&d), ["KD007"]);
-        let d = check_source("crates/os/src/x.rs", Some("os"), "use std::thread;\n");
-        assert_eq!(rules_of(&d), ["KD007"]);
-    }
-
-    #[test]
-    fn kd007_exempts_parallel_and_ignores_strings() {
-        let d = check_source(
-            "crates/core/src/parallel.rs",
-            Some("core"),
-            "std::thread::scope(|scope| {});\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // The linter's own sources name the patterns as string literals —
-        // which the lexer never surfaces, in any crate.
-        let d = check_source("crates/check/src/x.rs", Some("check"), "\"std::thread\";\n");
-        assert!(d.is_empty(), "{d:?}");
-        let d = check_source("crates/os/src/x.rs", Some("os"), "let p = \"thread::spawn\";\n");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn kd008_flags_the_removed_seed_channel() {
-        let d = check_source(
-            "crates/bench/src/x.rs",
-            Some("bench"),
-            "kindle_core::sim::set_thread_media_fault_seed(Some(7));\n",
-        );
-        assert_eq!(rules_of(&d), ["KD008"]);
-        let d = check_source(
-            "crates/sim/src/x.rs",
-            Some("sim"),
-            "let s = thread_media_fault_seed();\n",
-        );
-        assert_eq!(rules_of(&d), ["KD008"]);
-        // The replacement API is fine; string mentions are invisible.
-        let d = check_source(
-            "crates/bench/src/x.rs",
-            Some("bench"),
-            "let run = RunSettings { faults: None, ..harness.run() };\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-        let d = check_source(
-            "crates/check/src/x.rs",
-            Some("check"),
-            "\"set_thread_media_fault_seed\";\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn kd008_keeps_thread_locals_in_their_one_home() {
-        let decl = "thread_local! { static N: Cell<usize> = const { Cell::new(1) }; }\n";
-        for (path, krate) in [
-            ("crates/core/src/parallel.rs", "core"),
-            ("crates/bench/src/x.rs", "bench"),
-            ("crates/sim/src/config.rs", "sim"),
-        ] {
-            assert_eq!(rules_of(&check_source(path, Some(krate), decl)), ["KD008"], "{path}");
-        }
-        assert!(check_source("crates/types/src/sanitize.rs", Some("types"), decl).is_empty());
-        // Test code may keep its own thread-locals.
-        let src = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{ {decl} }}\n");
-        assert!(check_source("crates/os/src/x.rs", Some("os"), &src).is_empty());
-        assert!(check_source("crates/os/tests/x.rs", Some("os"), decl).is_empty());
-    }
-
-    #[test]
-    fn kd011_bans_stub_macros_in_sim_code() {
-        let d = check_source(
-            "crates/tlb/src/x.rs",
-            Some("tlb"),
-            "fn f() { unreachable!(\"loop covers\") }\n",
-        );
-        assert_eq!(rules_of(&d), ["KD011"]);
-        let d = check_source("crates/os/src/x.rs", Some("os"), "fn f() { todo!() }\n");
-        assert_eq!(rules_of(&d), ["KD011"]);
-        let d = check_source("crates/sim/src/x.rs", Some("sim"), "fn f() { unimplemented!() }\n");
-        assert_eq!(rules_of(&d), ["KD011"]);
-        // bench may stub; test code may stub.
-        let d = check_source("crates/bench/src/x.rs", Some("bench"), "fn f() { todo!() }\n");
-        assert!(d.is_empty());
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests { fn t() { unreachable!() } }\n";
-        let d = check_source("crates/os/src/x.rs", Some("os"), src);
-        assert!(d.is_empty(), "{d:?}");
-        // The bare identifier without `!` is not the macro.
-        let d = check_source("crates/os/src/x.rs", Some("os"), "let todo = 4;\n");
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -1047,16 +819,16 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { pfn as u32; }\n}\n";
         let d = check_source("crates/os/src/x.rs", Some("os"), src);
         assert!(d.is_empty());
-        let d = check_source("crates/os/tests/it.rs", Some("os"), "x.unwrap();\n");
+        let d = check_source("crates/os/tests/it.rs", Some("os"), "let x = pfn as u32;\n");
         assert!(d.is_empty());
     }
 
     #[test]
     fn diagnostics_carry_position_and_sort() {
-        let d = check_source("crates/os/src/x.rs", Some("os"), "fn f() {}\nx.unwrap();\n");
+        let d = check_source("crates/os/src/x.rs", Some("os"), "fn f() {}\nlet x = pfn as u32;\n");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
         assert_eq!(d[0].path, "crates/os/src/x.rs");

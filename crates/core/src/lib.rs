@@ -30,6 +30,8 @@
 //! # Ok::<(), kindle_core::KindleError>(())
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod experiments;
 pub mod framework;
 pub mod parallel;

@@ -53,6 +53,7 @@ pub fn default_jobs() -> usize {
             ),
         }
     }
+    #[allow(clippy::disallowed_methods)] // the one place a worker count is resolved
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -85,6 +86,7 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let slots = Mutex::new(slots);
+    #[allow(clippy::disallowed_methods)] // the one home of host threads
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs.min(n))
             .map(|_| {

@@ -22,6 +22,8 @@
 //! assert_eq!(core.breakdown().get(Activity::MigrationScan).as_u64(), 50);
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod core_model;
 pub mod regs;
 

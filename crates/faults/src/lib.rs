@@ -26,6 +26,8 @@
 //!   survives as [`sweep::SweepStrategy::ReplayFromZero`], the cross-check
 //!   oracle whose digests the forked sweep must reproduce byte-for-byte.
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod plan;
 pub mod recovery_checker;
 pub mod sweep;

@@ -19,6 +19,8 @@
 //! prototype we keep 64-bit PTEs and maintain a separate NVM↔DRAM lookup
 //! table ([`MappingTable`]) in DRAM instead.
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod engine;
 pub mod pool;
 pub mod table;

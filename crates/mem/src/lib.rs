@@ -21,6 +21,8 @@
 //! assert!(lat > Cycles::ZERO);
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod backend;
 pub mod config;
 pub mod controller;

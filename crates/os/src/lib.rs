@@ -34,6 +34,9 @@
 //! assert!(pte.is_present());
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod costs;
 pub mod frame;
 pub mod kernel;

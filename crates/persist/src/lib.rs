@@ -22,6 +22,9 @@
 //! difference between the two page-table schemes emerges from real memory
 //! traffic rather than hard-coded constants.
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod checkpoint;
 pub mod log;
 pub mod recovery;

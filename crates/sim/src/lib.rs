@@ -25,6 +25,8 @@
 //! assert!(m.now().as_u64() > 0);
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod config;
 mod daemon;
 pub mod hw;

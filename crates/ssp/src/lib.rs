@@ -14,6 +14,8 @@
 //! cache, the interval engine, the FASE programming model and the
 //! consolidation thread.
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod cache;
 pub mod engine;
 

@@ -24,6 +24,8 @@
 //! assert_eq!(tlb.lookup(Vpn::new(5)).unwrap().pfn, Pfn::new(9));
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod entry;
 pub mod msr;
 pub mod tlb;

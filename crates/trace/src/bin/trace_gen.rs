@@ -8,6 +8,8 @@
 //! trace_gen info <image.kindle>                        inspect an image
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use std::process::ExitCode;
 
 use kindle_trace::{Driver, TraceImage, WorkloadKind};

@@ -24,6 +24,8 @@
 //! assert!(!layout.areas().is_empty());
 //! ```
 
+#![warn(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 pub mod driver;
 pub mod image;
 pub mod layout;

@@ -384,8 +384,8 @@ mod tests {
 
     #[test]
     fn gapbs_hot_set_is_concentrated() {
-        use std::collections::HashMap;
-        let mut per_page: HashMap<(u16, u64), u64> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut per_page: BTreeMap<(u16, u64), u64> = BTreeMap::new();
         for r in WorkloadKind::GapbsPr.stream(200_000, 5) {
             *per_page.entry((r.area.0, r.offset / PAGE_SIZE as u64)).or_default() += 1;
         }

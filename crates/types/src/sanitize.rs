@@ -81,6 +81,7 @@ pub const LOCK_REDO_LOG: u64 = 2;
 pub const LOCK_MIGRATION: u64 = 3;
 
 thread_local! {
+    #[allow(clippy::disallowed_types)] // the sanitizer is the one thread-local home
     static CURRENT_TID: Cell<ThreadId> = const { Cell::new(ThreadId::MAIN) };
 }
 
@@ -299,6 +300,7 @@ impl Sanitizer for NopSanitizer {
 }
 
 thread_local! {
+    #[allow(clippy::disallowed_types)] // the sanitizer is the one thread-local home
     static CURRENT: RefCell<Option<Box<dyn Sanitizer>>> = const { RefCell::new(None) };
 }
 

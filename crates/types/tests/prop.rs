@@ -92,7 +92,7 @@ fn touched_lines_matches_naive() {
         let ctx = format!("case {case}, seed {SEED:#x}");
         let start = rng.gen_below(100_000);
         let len = rng.gen_below(4096) as usize;
-        let naive: std::collections::HashSet<u64> =
+        let naive: std::collections::BTreeSet<u64> =
             (start..start + len as u64).map(|a| a / 64).collect();
         assert_eq!(touched_lines(PhysAddr::new(start), len), naive.len(), "{ctx}");
     }

@@ -11,12 +11,11 @@ cargo build --release
 echo "== exact-output pins (release profile) =="
 cargo test --release -q --test exact_outputs
 
-echo "== every target and feature builds offline =="
-cargo check --workspace --all-targets --all-features --offline
-
-echo "== clippy is clean on every target =="
+echo "== clippy is clean on every target and feature =="
+# Clippy type-checks every target, so this is also the offline build check.
+# The determinism bans live in clippy.toml and the crate roots' lint levels.
 # perfbench is a workspace of its own and stays out of this gate.
-cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings
 
 echo "== the frozen benchmark (perfbench) builds offline =="
 # perfbench is a workspace of its own, so the check above never builds it;
@@ -53,7 +52,7 @@ awk '
     END { exit bad }
 ' check-allowlist.txt
 
-echo "== kindle-check (KD001-KD013) =="
+echo "== kindle-check (KD003, KD005, KD006, KD009, KD010, KD012, KD013) =="
 cargo run -q -p kindle-check -- --json CHECK_lint.json
 
 if cargo fmt --version >/dev/null 2>&1; then

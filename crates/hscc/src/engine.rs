@@ -1,8 +1,6 @@
 //! The HSCC migration engine.
 
 use kindle_os::Kernel;
-use kindle_tlb::{TlbEntry, TwoLevelTlb};
-use kindle_types::sanitize::{self, Event};
 use kindle_types::{Cycles, MemKind, Pfn, PhysMem, Pte, Result, Vpn, CACHE_LINE, LINES_PER_PAGE};
 
 use crate::pool::{DramPool, ListKind, Occupant};
@@ -51,6 +49,8 @@ pub struct HsccStats {
     /// Simulated time in page copies (flush + 4 KiB copy + remap).
     pub copy_cycles: Cycles,
     /// Simulated time in the candidate page-table scan and count resets.
+    /// The fold of the TLB's live counts into the PTEs is not included:
+    /// it happens in the TLB flush before each pass.
     pub scan_cycles: Cycles,
     /// TLB access counters written back to PTEs.
     pub count_writebacks: u64,
@@ -87,7 +87,10 @@ pub struct MigrationOutcome {
 }
 
 /// The HSCC engine. The simulator calls [`HsccEngine::migrate`] from its
-/// timer loop and [`HsccEngine::on_tlb_evict`] from the translation path.
+/// timer loop and [`HsccEngine::on_tlb_evict`] for every TLB entry it
+/// drops. The engine never touches the TLB: the simulator flushes it before
+/// each pass, which folds the live access counts into the PTEs and drops
+/// every translation the pass may remap.
 #[derive(Clone, Debug)]
 pub struct HsccEngine {
     cfg: HsccConfig,
@@ -154,20 +157,21 @@ impl HsccEngine {
         now >= self.next_migration
     }
 
-    /// Hardware spills a TLB entry's access count into its PTE on eviction.
+    /// Hardware spills a dropped TLB entry's access `count` into the PTE
+    /// of `pid`'s page `vpn` (one PTE store).
     pub fn on_tlb_evict(
         &mut self,
         mem: &mut dyn PhysMem,
         kernel: &mut Kernel,
         pid: u32,
-        entry: &TlbEntry,
+        vpn: Vpn,
+        count: u64,
     ) {
-        if entry.access_count == 0 {
+        if count == 0 {
             return;
         }
         let costs = kernel.costs.clone();
-        let count = entry.access_count as u64;
-        let va = entry.vpn.base();
+        let va = vpn.base();
         if let Ok(proc) = kernel.process_mut(pid) {
             let _ = proc
                 .aspace
@@ -176,7 +180,9 @@ impl HsccEngine {
         }
     }
 
-    /// Runs one migration interval for `pid`.
+    /// Runs one migration interval for `pid`. The caller holds
+    /// `LOCK_MIGRATION` and has flushed the TLB, so every live access
+    /// count is in a PTE and no remapped page stays cached.
     ///
     /// # Errors
     ///
@@ -185,26 +191,6 @@ impl HsccEngine {
         &mut self,
         mem: &mut dyn PhysMem,
         kernel: &mut Kernel,
-        tlb: &mut TwoLevelTlb,
-        pid: u32,
-    ) -> Result<MigrationOutcome> {
-        // Migration page copies are ordered against foreground NVM writes
-        // by the (simulated) migration lock. The lock events bracket the
-        // call so the release is reached even when the body propagates a
-        // page-table error (KD010).
-        sanitize::emit(|| Event::LockAcquire { id: sanitize::LOCK_MIGRATION });
-        let result = self.migrate_locked(mem, kernel, tlb, pid);
-        sanitize::emit(|| Event::LockRelease { id: sanitize::LOCK_MIGRATION });
-        result
-    }
-
-    /// The migration interval body; runs with `LOCK_MIGRATION` held by the
-    /// caller.
-    fn migrate_locked(
-        &mut self,
-        mem: &mut dyn PhysMem,
-        kernel: &mut Kernel,
-        tlb: &mut TwoLevelTlb,
         pid: u32,
     ) -> Result<MigrationOutcome> {
         let costs = kernel.costs.clone();
@@ -212,27 +198,7 @@ impl HsccEngine {
 
         // --- scan phase -------------------------------------------------
         let scan_start = mem.now();
-        // 1. Spill TLB access counts to PTEs (one PTE store each).
-        let counted: Vec<(Vpn, u64)> = tlb
-            .iter_mut()
-            .filter(|e| e.access_count > 0)
-            .map(|e| {
-                let c = (e.vpn, e.access_count as u64);
-                e.access_count = 0;
-                c
-            })
-            .collect();
-        {
-            let proc = kernel.process_mut(pid)?;
-            for (vpn, count) in counted {
-                let _ = proc.aspace.update_leaf(mem, &costs, vpn.base(), |p| {
-                    p.with_access_count(p.access_count() + count)
-                });
-                self.stats.count_writebacks += 1;
-            }
-        }
-
-        // 2. Refresh the pool lists (classify occupied slots by PTE dirty
+        // 1. Refresh the pool lists (classify occupied slots by PTE dirty
         //    bit — a software walk per slot).
         let occupied: Vec<(usize, Occupant)> = self.pool.occupied().map(|(i, o)| (i, *o)).collect();
         let mut dirtiness = vec![false; self.pool.capacity()];
@@ -249,7 +215,7 @@ impl HsccEngine {
         }
         self.pool.refresh(|slot, _| dirtiness[slot]);
 
-        // 3. Software page-table walk collecting candidates.
+        // 2. Software page-table walk collecting candidates.
         let mut candidates: Vec<(Vpn, Pfn, u64)> = Vec::new();
         let threshold = self.cfg.fetch_threshold;
         let nvm_alloc = &kernel.pools.nvm;
@@ -306,7 +272,6 @@ impl HsccEngine {
                 });
                 self.table.set(mem, old.nvm, None);
                 self.table.clear_reverse(mem, slot as u64);
-                tlb.invalidate(old.vpn);
             } else {
                 self.stats.free_uses += 1;
             }
@@ -328,7 +293,6 @@ impl HsccEngine {
             self.table.set(mem, nvm_pfn, Some(dram_pfn));
             self.table.set_reverse(mem, slot as u64, nvm_pfn, vpn);
             self.pool.occupy(slot, Occupant { nvm: nvm_pfn, vpn, pid });
-            tlb.invalidate(vpn);
             self.stats.pages_migrated += 1;
             outcome.migrated += 1;
             self.stats.copy_cycles += mem.now() - copy_start;
@@ -351,7 +315,6 @@ impl HsccEngine {
                 proc.aspace.update_leaf(mem, &costs, vpn.base(), |p| p.with_access_count(0))?;
             }
         }
-        tlb.flush_all();
         self.stats.scan_cycles += mem.now() - reset_start;
 
         self.stats.intervals += 1;
@@ -364,18 +327,16 @@ impl HsccEngine {
 mod tests {
     use super::*;
     use kindle_os::KernelConfig;
-    use kindle_tlb::TwoLevelTlbConfig;
     use kindle_types::physmem::FlatMem;
     use kindle_types::{MapFlags, Prot, VirtAddr, PAGE_SIZE};
 
-    fn setup(pool_pages: usize, threshold: u64) -> (FlatMem, Kernel, HsccEngine, TwoLevelTlb, u32) {
+    fn setup(pool_pages: usize, threshold: u64) -> (FlatMem, Kernel, HsccEngine, u32) {
         let mut mem = FlatMem::new(160 << 20);
         let mut kernel = Kernel::new(KernelConfig::for_test(160 << 20), &mut mem).unwrap();
         let pid = kernel.create_process(&mut mem).unwrap();
         let cfg = HsccConfig { fetch_threshold: threshold, pool_pages, ..Default::default() };
         let engine = HsccEngine::new(&mut mem, &mut kernel, cfg).unwrap();
-        let tlb = TwoLevelTlb::new(&TwoLevelTlbConfig::default());
-        (mem, kernel, engine, tlb, pid)
+        (mem, kernel, engine, pid)
     }
 
     /// Maps `n` NVM pages and sets each PTE's access count.
@@ -402,12 +363,12 @@ mod tests {
 
     #[test]
     fn hot_pages_migrate_to_dram() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(8, 5);
+        let (mut mem, mut kernel, mut engine, pid) = setup(8, 5);
         let va = hot_pages(&mut mem, &mut kernel, pid, 4, 10);
         let before = kernel.translate(&mut mem, pid, va).unwrap().unwrap().pfn();
         assert!(kernel.pools.nvm.inner().contains(before));
 
-        let out = engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        let out = engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         assert_eq!(out.candidates, 4);
         assert_eq!(out.migrated, 4);
         assert_eq!(engine.stats().free_uses, 4);
@@ -422,9 +383,9 @@ mod tests {
 
     #[test]
     fn cold_pages_stay_in_nvm() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(8, 25);
+        let (mut mem, mut kernel, mut engine, pid) = setup(8, 25);
         let va = hot_pages(&mut mem, &mut kernel, pid, 4, 10); // below threshold
-        let out = engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        let out = engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         assert_eq!(out.candidates, 0);
         assert_eq!(out.migrated, 0);
         let pte = kernel.translate(&mut mem, pid, va).unwrap().unwrap();
@@ -434,9 +395,9 @@ mod tests {
 
     #[test]
     fn pool_pressure_forces_copybacks() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(2, 5);
+        let (mut mem, mut kernel, mut engine, pid) = setup(2, 5);
         let va = hot_pages(&mut mem, &mut kernel, pid, 2, 10);
-        engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         assert_eq!(engine.stats().pages_migrated, 2);
 
         // Dirty the two cached pages (set PTE dirty bits as the walker
@@ -453,7 +414,7 @@ mod tests {
             }
         }
         hot_pages(&mut mem, &mut kernel, pid, 2, 10);
-        let out = engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        let out = engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         assert_eq!(out.migrated, 2);
         assert_eq!(out.copybacks, 2, "dirty occupants must be copied back");
         // The evicted pages' PTEs point at NVM again.
@@ -465,40 +426,40 @@ mod tests {
 
     #[test]
     fn clean_occupants_reused_without_copyback() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(2, 5);
+        let (mut mem, mut kernel, mut engine, pid) = setup(2, 5);
         hot_pages(&mut mem, &mut kernel, pid, 2, 10);
-        engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         // Do not dirty the cached pages; hot two more.
         hot_pages(&mut mem, &mut kernel, pid, 2, 10);
-        let out = engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        let out = engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         assert_eq!(out.migrated, 2);
         assert_eq!(out.copybacks, 0);
         assert_eq!(engine.stats().clean_reuses, 2);
     }
 
     #[test]
-    fn tlb_counts_spill_to_ptes() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(4, 100);
-        let va = hot_pages(&mut mem, &mut kernel, pid, 1, 0);
-        let pfn = kernel.translate(&mut mem, pid, va).unwrap().unwrap().pfn();
-        let mut entry = TlbEntry::new(va.page_number(), pfn, true, MemKind::Nvm);
-        entry.access_count = 7;
-        tlb.install(entry);
-        engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+    fn tlb_evict_adds_count_to_pte() {
+        let (mut mem, mut kernel, mut engine, pid) = setup(4, 100);
+        let va = hot_pages(&mut mem, &mut kernel, pid, 1, 3);
+        let vpn = va.page_number();
+        engine.on_tlb_evict(&mut mem, &mut kernel, pid, vpn, 7);
         assert_eq!(engine.stats().count_writebacks, 1);
-        // Count was spilled then reset by the interval end; the TLB flushed.
-        assert_eq!(tlb.occupancy(), 0);
         let pte = kernel.translate(&mut mem, pid, va).unwrap().unwrap();
-        assert_eq!(pte.access_count(), 0);
+        assert_eq!(pte.access_count(), 10, "the dropped count adds to the PTE's");
+        // A zero count and an unknown process store nothing.
+        engine.on_tlb_evict(&mut mem, &mut kernel, pid, vpn, 0);
+        engine.on_tlb_evict(&mut mem, &mut kernel, pid + 1, vpn, 5);
+        assert_eq!(engine.stats().count_writebacks, 1);
+        assert_eq!(kernel.translate(&mut mem, pid, va).unwrap().unwrap().access_count(), 10);
     }
 
     #[test]
     fn migration_moves_page_contents() {
-        let (mut mem, mut kernel, mut engine, mut tlb, pid) = setup(4, 5);
+        let (mut mem, mut kernel, mut engine, pid) = setup(4, 5);
         let va = hot_pages(&mut mem, &mut kernel, pid, 1, 10);
         let nvm_pfn = kernel.translate(&mut mem, pid, va).unwrap().unwrap().pfn();
         mem.write_bytes(nvm_pfn.base() + 100, b"hot data!");
-        engine.migrate(&mut mem, &mut kernel, &mut tlb, pid).unwrap();
+        engine.migrate(&mut mem, &mut kernel, pid).unwrap();
         let dram_pfn = kernel.translate(&mut mem, pid, va).unwrap().unwrap().pfn();
         let mut buf = [0u8; 9];
         mem.read_bytes(dram_pfn.base() + 100, &mut buf);

@@ -11,9 +11,14 @@
 //!   *fetch threshold*, and migrates them into the DRAM pool;
 //! * migration = **page selection** (grab a free page, else recycle a clean
 //!   page, else write back a dirty page first) + **page copy** (flush the
-//!   NVM page's cache lines, copy 4 KiB, remap the PTE, shoot down the TLB);
-//! * all counts are reset and TLB entries invalidated at the end of the
-//!   interval so the next interval sees fresh counts.
+//!   NVM page's cache lines, copy 4 KiB, remap the PTE);
+//! * all counts are reset at the end of the interval so the next interval
+//!   sees fresh counts.
+//!
+//! The engine never touches the TLB. The simulator's machine flushes it
+//! once before each pass (one shootdown): the flush folds the live counts
+//! into the PTEs the scan reads, and no translation the pass remaps stays
+//! cached, since nothing translates through the TLB during a pass.
 //!
 //! The original HSCC extended PTEs to 96 bits; like the paper's Kindle
 //! prototype we keep 64-bit PTEs and maintain a separate NVM↔DRAM lookup

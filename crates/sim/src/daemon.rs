@@ -13,6 +13,7 @@ use kindle_mem::PatrolOutcome;
 use kindle_os::{
     DaemonKind, IntegrityOutcome, Kernel, PatrolPassOutcome, PatrolState, PATROL_BATCH_FRAMES,
 };
+use kindle_types::sanitize::{self, Event};
 use kindle_types::{Cycles, PhysMem, Result};
 
 use crate::hw::Hw;
@@ -64,20 +65,34 @@ fn run_checkpoint(m: &mut Machine) -> Result<()> {
     m.hw.during(Activity::Checkpoint, |hw| engine.tick(hw, &mut m.kernel).map(|_| ()))
 }
 
-/// `migrated`: one HSCC page-migration scan.
+/// `migrated`: one HSCC page-migration pass, under the (simulated)
+/// migration lock that orders its page copies and PTE stores against
+/// foreground NVM writes. The lock events bracket the pass so the release
+/// is reached even when it propagates a page-table error (KD010).
 fn run_migration(m: &mut Machine, pid: u32) -> Result<()> {
-    let os_mode = m.config().hscc_os_mode;
+    if m.hscc.is_none() {
+        return Ok(());
+    }
+    // Hardware-only baseline: migrations happen with no OS time charged.
+    let was_free = m.hw.set_free_mode(m.hw.free_mode() || !m.config().hscc_os_mode);
+    sanitize::emit(|| Event::LockAcquire { id: sanitize::LOCK_MIGRATION });
+    let r = migration_pass(m, pid);
+    sanitize::emit(|| Event::LockRelease { id: sanitize::LOCK_MIGRATION });
+    m.hw.set_free_mode(was_free);
+    r
+}
+
+/// One flush, then the bracketed scan. The flush folds the TLB's live
+/// access counts into the PTEs before the scan reads them, and it drops
+/// every translation the pass may remap: nothing translates through the
+/// TLB during a pass. Like every shootdown it is charged outside the
+/// bracket, to the running activity.
+fn migration_pass(m: &mut Machine, pid: u32) -> Result<()> {
+    m.flush_process_tlb();
     let Some(engine) = m.hscc.as_mut() else {
         return Ok(());
     };
-    m.hw.during(Activity::MigrationScan, |hw| {
-        // Hardware-only baseline: migrations happen with no OS time
-        // charged.
-        let was_free = hw.set_free_mode(hw.free_mode() || !os_mode);
-        let r = engine.migrate(hw, &mut m.kernel, &mut m.tlb, pid).map(|_| ());
-        hw.set_free_mode(was_free);
-        r
-    })
+    m.hw.during(Activity::MigrationScan, |hw| engine.migrate(hw, &mut m.kernel, pid).map(|_| ()))
 }
 
 /// `scrubd`: one page-table read-verify pass against the kernel's shadow
@@ -89,8 +104,7 @@ fn run_scrub(m: &mut Machine) -> Result<()> {
     let outcome = m.hw.during(Activity::Os, |hw| m.kernel.scrub_pt_frames(hw))?;
     // The table moved: any cached translation may have been filled
     // through the old frame.
-    let owners = outcome.frames_retired.iter().map(|&(owner, _old_frame)| owner);
-    finish_pass(m, owners, |m, now| {
+    finish_pass(m, outcome.frames_retired.len(), |m, now| {
         if let Some(state) = m.scrub.as_mut() {
             state.complete_pass(now, &outcome);
         }
@@ -104,23 +118,24 @@ fn run_patrol(m: &mut Machine) -> Result<()> {
     };
     let outcome = m.hw.during(Activity::Os, |hw| patrol_batch(hw, &mut m.kernel, state))?;
     // The owner died with translations still cached.
-    finish_pass(m, outcome.killed.iter().copied(), |m, now| {
+    finish_pass(m, outcome.killed.len(), |m, now| {
         if let Some(state) = m.patrol.as_mut() {
             state.complete_pass(now, &outcome);
         }
     })
 }
 
-/// The tail scrubd and patrold share: flushes the cached translations of
-/// every listed owner, logs the kernel's metadata records, then `complete`
-/// folds the pass into the daemon's state at the current clock.
+/// The tail scrubd and patrold share: one TLB flush per process whose
+/// table moved or who was killed, then logs the kernel's metadata records,
+/// then `complete` folds the pass into the daemon's state at the current
+/// clock.
 fn finish_pass(
     m: &mut Machine,
-    owners: impl Iterator<Item = u32>,
+    flushes: usize,
     complete: impl FnOnce(&mut Machine, Cycles),
 ) -> Result<()> {
-    for owner in owners {
-        m.flush_process_tlb(owner)?;
+    for _ in 0..flushes {
+        m.flush_process_tlb();
     }
     m.drain_meta()?;
     let now = m.now();

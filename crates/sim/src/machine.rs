@@ -286,7 +286,7 @@ impl Machine {
     ) -> Result<T> {
         let (out, unmapped) = self.hw.during(Activity::Os, |hw| call(&mut self.kernel, hw))?;
         for vpn in unmapped.unmapped {
-            self.shootdown(pid, vpn)?;
+            self.shootdown(pid, vpn);
         }
         self.drain_meta()?;
         self.poll_timers(pid)?;
@@ -294,25 +294,39 @@ impl Machine {
     }
 
     /// Drops `pid`'s cached translation of `vpn`, whose mapping changed.
-    fn shootdown(&mut self, pid: u32, vpn: Vpn) -> Result<()> {
+    /// The TLB holds only the active process's translations (no ASIDs), so
+    /// another process's remap costs nothing here.
+    #[allow(clippy::disallowed_methods)] // Machine owns the TLB: one remap's shootdown
+    fn shootdown(&mut self, pid: u32, vpn: Vpn) {
+        if self.active_pid != Some(pid) {
+            return;
+        }
         self.hw.advance(Cycles::new(SHOOTDOWN_CYCLES));
         if let Some(entry) = self.tlb.invalidate(vpn) {
             self.tlb_shootdowns += 1;
-            self.on_tlb_dropped(pid, entry)?;
+            self.on_tlb_dropped(entry);
         }
-        Ok(())
     }
 
-    /// Flushes every cached translation of `pid` — a page-table frame was
-    /// relocated, so any entry may have been filled through the old frame.
-    pub(crate) fn flush_process_tlb(&mut self, pid: u32) -> Result<()> {
+    /// Flushes every cached translation, all of which belong to the active
+    /// process, and counts one shootdown. Used when a page-table frame was
+    /// relocated (any entry may have been filled through the old frame),
+    /// when a process is killed, and before every HSCC migration pass,
+    /// where the flush folds the live access counts into the PTEs the scan
+    /// reads and covers every page the pass remaps.
+    pub(crate) fn flush_process_tlb(&mut self) {
         self.hw.advance(Cycles::new(SHOOTDOWN_CYCLES));
         self.tlb_shootdowns += 1;
-        let dropped = self.tlb.flush_all();
-        for entry in dropped {
-            self.on_tlb_dropped(pid, entry)?;
+        self.drop_tlb_entries();
+    }
+
+    /// Empties the TLB, handing every entry to [`Machine::on_tlb_dropped`]:
+    /// the full flush and the context switch.
+    #[allow(clippy::disallowed_methods)] // Machine owns the TLB: full flushes
+    fn drop_tlb_entries(&mut self) {
+        for entry in self.tlb.flush_all() {
+            self.on_tlb_dropped(entry);
         }
-        Ok(())
     }
 
     /// `mmap` without a placement hint.
@@ -422,11 +436,8 @@ impl Machine {
         self.hw.core.count_mem_op();
         // No ASIDs: switching processes flushes the TLB (context switch).
         if self.active_pid != Some(pid) {
-            if let Some(prev) = self.active_pid {
-                let dropped = self.tlb.flush_all();
-                for entry in dropped {
-                    self.on_tlb_dropped(prev, entry)?;
-                }
+            if self.active_pid.is_some() {
+                self.drop_tlb_entries();
                 self.hw.advance(Cycles::new(self.kernel.costs.kthread_switch));
             }
             self.active_pid = Some(pid);
@@ -439,7 +450,7 @@ impl Machine {
         self.hw.advance(tlb_lat);
         let hit = hit.copied();
         if let Some(entry) = dropped {
-            self.on_tlb_dropped(pid, entry)?;
+            self.on_tlb_dropped(entry);
         }
 
         // 2. Miss: hardware walk, faulting into the kernel if needed.
@@ -557,25 +568,24 @@ impl Machine {
             }
         }
 
-        if let Some(droppped) = self.tlb.install(entry) {
-            self.on_tlb_dropped(pid, droppped)?;
+        if let Some(dropped) = self.tlb.install(entry) {
+            self.on_tlb_dropped(dropped);
         }
         Ok(entry)
     }
 
-    /// Hardware-side handling of an entry leaving the TLB hierarchy.
-    pub(crate) fn on_tlb_dropped(&mut self, pid: u32, entry: TlbEntry) -> Result<()> {
+    /// Hardware-side handling of an entry leaving the TLB hierarchy. The
+    /// entry is the active process's: the TLB holds no other.
+    fn on_tlb_dropped(&mut self, entry: TlbEntry) {
         if entry.ssp.is_some() {
             if let Some(engine) = self.ssp.as_mut() {
                 engine.on_tlb_evict(&mut self.hw, &entry);
             }
         }
-        if entry.access_count > 0 {
-            if let Some(engine) = self.hscc.as_mut() {
-                engine.on_tlb_evict(&mut self.hw, &mut self.kernel, pid, &entry);
-            }
+        if let (Some(engine), Some(pid)) = (self.hscc.as_mut(), self.active_pid) {
+            let count = u64::from(entry.access_count);
+            engine.on_tlb_evict(&mut self.hw, &mut self.kernel, pid, entry.vpn, count);
         }
-        Ok(())
     }
 
     /// One patrold batch: walks up to
@@ -629,11 +639,9 @@ impl Machine {
                 match outcome {
                     IntegrityOutcome::Retired(RetireOutcome::Remapped {
                         pid: owner, vpn, ..
-                    }) => self.shootdown(owner, vpn)?,
-                    IntegrityOutcome::Retired(RetireOutcome::TableRelocated { pid: owner })
-                    | IntegrityOutcome::Poisoned { pid: owner, .. } => {
-                        self.flush_process_tlb(owner)?
-                    }
+                    }) => self.shootdown(owner, vpn),
+                    IntegrityOutcome::Retired(RetireOutcome::TableRelocated { .. })
+                    | IntegrityOutcome::Poisoned { .. } => self.flush_process_tlb(),
                     IntegrityOutcome::Retired(RetireOutcome::Quarantined) => {}
                 }
                 self.drain_meta()?;
@@ -784,6 +792,7 @@ impl Machine {
     /// The TLB is flushed without [`Machine::on_tlb_dropped`] (the engines
     /// that would see the entries are rebuilt); the walker and the
     /// shootdown count carry over.
+    #[allow(clippy::disallowed_methods)] // Machine owns the TLB: power loss empties it
     fn reboot(&mut self) -> Result<()> {
         let _ = self.tlb.flush_all();
         self.active_pid = None;
@@ -963,6 +972,79 @@ mod tests {
             m.access(pid, va, AccessKind::Read).unwrap_err(),
             KindleError::Unmapped(_)
         ));
+    }
+
+    #[test]
+    fn munmap_keeps_another_process_translation() {
+        let mut m = Machine::new(MachineConfig::small()).unwrap();
+        let a = m.spawn_process().unwrap();
+        let b = m.spawn_process().unwrap();
+        let page = PAGE_SIZE as u64;
+        let va = m.mmap(a, page, Prot::RW, MapFlags::NVM).unwrap();
+        assert_eq!(m.mmap(b, page, Prot::RW, MapFlags::NVM).unwrap(), va, "same VA in both");
+        m.access(b, va, AccessKind::Write).unwrap();
+        m.access(a, va, AccessKind::Write).unwrap();
+        let a_pfn = m.kernel.translate(&mut m.hw, a, va).unwrap().unwrap().pfn();
+        let shootdowns = m.tlb_shootdowns();
+        m.munmap(b, va, page).unwrap();
+        let cached = m.tlb.peek_mut(va.page_number()).map(|e| e.pfn);
+        assert_eq!(cached, Some(a_pfn), "A's translation stays cached");
+        assert_eq!(m.tlb_shootdowns(), shootdowns, "B's munmap shot nothing down");
+    }
+
+    /// One HSCC migration pass over one cached NVM page whose TLB entry
+    /// holds `k` accesses, `k` being `short` less than the fetch threshold
+    /// minus the PTE's count. Returns the pages migrated, the
+    /// engine's count write-backs, the PTE's count after the pass, the TLB
+    /// occupancy, the shootdowns and the clock the pass took outside the
+    /// migration-scan bucket.
+    fn hscc_pass(os_mode: bool, short: u64) -> (u64, u64, u64, usize, u64, Cycles) {
+        let hscc = kindle_hscc::HsccConfig { pool_pages: 8, ..Default::default() };
+        let threshold = hscc.fetch_threshold;
+        let mut m = Machine::new(MachineConfig::small().with_hscc(hscc, os_mode)).unwrap();
+        let pid = m.spawn_process().unwrap();
+        let va = m.mmap(pid, PAGE_SIZE as u64, Prot::RW, MapFlags::NVM).unwrap();
+        m.access(pid, va, AccessKind::Write).unwrap();
+        let pte = m.kernel.translate(&mut m.hw, pid, va).unwrap().unwrap();
+        let k = threshold - pte.access_count() - short;
+        m.tlb.peek_mut(va.page_number()).unwrap().access_count = k as u32;
+        let (shootdowns, t0) = (m.tlb_shootdowns(), m.now());
+        let scan0 = m.hw.core.breakdown().get(Activity::MigrationScan);
+        daemon::run(&mut m, DaemonKind::Migration, pid).unwrap();
+        let scan = m.hw.core.breakdown().get(Activity::MigrationScan) - scan0;
+        let outside = m.now() - t0 - scan;
+        let stats = m.hscc.as_ref().unwrap().stats().clone();
+        let after = m.kernel.translate(&mut m.hw, pid, va).unwrap().unwrap().access_count();
+        let shootdowns = m.tlb_shootdowns() - shootdowns;
+        (
+            stats.pages_migrated,
+            stats.count_writebacks,
+            after,
+            m.tlb.occupancy(),
+            shootdowns,
+            outside,
+        )
+    }
+
+    #[test]
+    fn migration_pass_folds_counts_in_one_flush() {
+        for os_mode in [true, false] {
+            // The page migrates only if the PTE received all `k` counts
+            // before the scan read it.
+            let (migrated, writebacks, count, occupancy, shootdowns, outside) =
+                hscc_pass(os_mode, 0);
+            assert_eq!((migrated, writebacks), (1, 1), "os_mode {os_mode}: k folded, then scanned");
+            assert_eq!((count, occupancy, shootdowns), (0, 0, 1), "os_mode {os_mode}");
+            if os_mode {
+                assert!(outside >= Cycles::new(SHOOTDOWN_CYCLES), "flush charged outside the scan");
+            } else {
+                assert_eq!(outside, Cycles::ZERO, "the hardware-only flush is free");
+            }
+            // One count short of the threshold: nothing migrates, and the
+            // folded count is reset.
+            let (migrated, writebacks, count, ..) = hscc_pass(os_mode, 1);
+            assert_eq!((migrated, writebacks, count), (0, 1, 0), "os_mode {os_mode}");
+        }
     }
 
     #[test]

@@ -302,6 +302,7 @@ impl TwoLevelTlb {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the TLB's own tests drop entries directly
 mod tests {
     use super::*;
     use kindle_types::{MemKind, Pfn};

@@ -49,6 +49,7 @@ fn ssp_routes_fase_writes_to_shadow_pages() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // forces one eviction, as the hardware would
 fn ssp_consolidation_returns_committed_lines_to_original() {
     let mut m = ssp_machine(5);
     let pid = m.spawn_process().unwrap();
@@ -178,16 +179,19 @@ fn hscc_hardware_only_baseline_charges_no_os_time() {
                 .unwrap();
             round += 1;
         }
-        m
+        (m, round)
     };
-    let os = mk(true);
-    let hw = mk(false);
+    let (os, os_rounds) = mk(true);
+    let (hw, hw_rounds) = mk(false);
     let os_stats = os.report().hscc.unwrap();
     let hw_stats = hw.report().hscc.unwrap();
     assert!(hw_stats.pages_migrated > 0, "baseline still migrates");
     assert_eq!(hw_stats.os_cycles(), Cycles::ZERO, "hardware-only baseline charges zero OS time");
     assert!(os_stats.os_cycles() > Cycles::ZERO);
-    assert!(os.now() > hw.now(), "OS activities must cost simulated time");
+    // Both runs stop at the first access past the same deadline, so their
+    // clocks differ only by that access's overshoot; the OS time shows as
+    // fewer accesses in the same simulated time.
+    assert!(os_rounds < hw_rounds, "OS activities must cost simulated time");
 }
 
 #[test]

@@ -3,15 +3,14 @@
 // and KD013 must stay silent on it — as it must on buffer-geometry
 // fields (write_buffer, read_buffer) and on banned names spelled only
 // in strings or comments (read_ns, wear_limit).
-use kindle_core::mem::{Backend, MemConfig};
+use kindle_core::mem::Backend;
 
 pub fn describe(b: Backend) -> String {
-    let cfg = MemConfig::default();
     format!(
         "{}: {} ns rd / {} ns wr, wb {} (write_service_ns is backend-owned)",
         b.label(),
         b.read_latency_ns(),
         b.write_latency_ns(),
-        cfg.nvm.write_buffer,
+        b.timing().write_buffer,
     )
 }

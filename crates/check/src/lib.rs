@@ -3,7 +3,7 @@
 //! The pipeline is `lexer` (token stream) → `syntax` (brace-matched
 //! block tree, function extraction, test cut) → `rules` (KD003, KD006,
 //! KD009, KD010, KD012 and KD013 on tokens and per-function walks) plus
-//! `manifest` (KD005 on `Cargo.toml`s) and `allow` (inline / allowlist
+//! `manifest` (KD005 on `Cargo.toml`s) and `allow` (inline `check:allow`
 //! suppression). The `kindle-check` binary drives it over the workspace;
 //! the fixture golden test (`tests/golden.rs`) drives it over seeded
 //! corpora. The name bans clippy resolves better live in the root

@@ -4,9 +4,8 @@
 //! enforces the determinism / persistence rules described in `rules` and
 //! `manifest` (KD003, KD005, KD006, KD009, KD010, KD012, KD013). Violations
 //! print as `path:line: KDnnn message` and make the process exit non-zero;
-//! suppressions go through the two mechanisms in `allow` (inline
-//! `// check:allow KDnnn: reason` comments and the root
-//! `check-allowlist.txt`).
+//! a site is suppressed only by an inline `// check:allow KDnnn: reason`
+//! comment (see `allow`).
 //!
 //! Usage: `cargo run -p kindle-check [-- [root] [--json <path>]]`
 //!
@@ -16,7 +15,6 @@
 //!   the bench envelope convention (`elapsed_ms` + `rows`), uploaded by
 //!   the CI lint job so rule trends are diffable across runs.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -123,19 +121,10 @@ fn main() -> ExitCode {
     let mut manifests = Vec::new();
     walk(&root, &mut rs_files, &mut manifests);
 
-    // Raw findings, already filtered by inline allow comments; remember the
-    // flagged line text so allowlist entries can match on substrings.
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut line_text: BTreeMap<(String, usize), String> = BTreeMap::new();
+    // Findings that no inline allow comment suppresses.
+    let mut kept: Vec<Diagnostic> = Vec::new();
     let mut record = |found: Vec<Diagnostic>, source: &str| {
-        for d in found {
-            if allow::inline_allowed(&d, source) {
-                continue;
-            }
-            let text = source.lines().nth(d.line.saturating_sub(1)).unwrap_or("");
-            line_text.insert((d.path.clone(), d.line), text.to_string());
-            diags.push(d);
-        }
+        kept.extend(found.into_iter().filter(|d| !allow::inline_allowed(d, source)));
     };
 
     for path in &rs_files {
@@ -155,33 +144,14 @@ fn main() -> ExitCode {
         record(manifest::check_manifest(&rel, &source), &source);
     }
 
-    // Allowlist file is optional; malformed entries are hard errors so the
-    // list can't silently rot.
-    let allowlist_path = root.join("check-allowlist.txt");
-    let (entries, parse_errors) = match fs::read_to_string(&allowlist_path) {
-        Ok(body) => allow::parse_allowlist(&body),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
-    for err in &parse_errors {
-        eprintln!("kindle-check: {err}");
-    }
-
-    let (kept, suppressed, stale) = allow::apply_allowlist(diags, &entries, |d| {
-        line_text.get(&(d.path.clone(), d.line)).cloned()
-    });
-    for entry in &stale {
-        eprintln!("kindle-check: warning: stale allowlist entry: {entry}");
-    }
-
     for d in &kept {
         println!("{d}");
     }
     eprintln!(
-        "kindle-check: scanned {} source files, {} manifests; {} violation(s), {} suppressed",
+        "kindle-check: scanned {} source files, {} manifests; {} violation(s)",
         rs_files.len(),
         manifests.len(),
-        kept.len(),
-        suppressed.len()
+        kept.len()
     );
 
     if let Some(path) = &args.json {
@@ -191,12 +161,11 @@ fn main() -> ExitCode {
         // crate sits outside the simulation, like bench).
         let data = format!(
             "{{\n\"elapsed_ms\": {},\n\"files\": {},\n\"manifests\": {},\n\
-             \"violations\": {},\n\"suppressed\": {},\n\"rows\": {}\n}}\n",
+             \"violations\": {},\n\"rows\": {}\n}}\n",
             started.elapsed().as_millis(),
             rs_files.len(),
             manifests.len(),
             kept.len(),
-            suppressed.len(),
             diag::to_json(&kept)
         );
         match fs::write(path, data) {
@@ -208,7 +177,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if kept.is_empty() && parse_errors.is_empty() {
+    if kept.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -51,14 +51,10 @@ const NVM_FIELD_BAN: &[&str] =
     &["read_ns", "write_service_ns", "buffer_insert_ns", "forward_ns", "wear_limit"];
 
 /// The modules allowed to touch those fields directly (KD013): the
-/// backend definitions, the config type they hand out, and the two
-/// consumers that turn timings into device behavior.
-const NVM_FIELD_ALLOW: &[&str] = &[
-    "crates/mem/src/backend.rs",
-    "crates/mem/src/config.rs",
-    "crates/mem/src/controller.rs",
-    "crates/mem/src/nvm.rs",
-];
+/// backend definitions and the two consumers that turn timings into
+/// device behavior.
+const NVM_FIELD_ALLOW: &[&str] =
+    &["crates/mem/src/backend.rs", "crates/mem/src/controller.rs", "crates/mem/src/nvm.rs"];
 
 /// Identifiers that mark a statement as handling addresses or simulated
 /// time (KD003). Compared case-insensitively against identifier tokens.

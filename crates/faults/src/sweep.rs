@@ -240,16 +240,11 @@ enum WorkloadStep {
 const SCRATCH_PAGES: u64 = 4;
 /// Reads per analysis pass.
 const ANALYZE_READS: u64 = 4096;
-/// Analysis passes per phase. Trimmed under debug builds: the replay
-/// cross-check oracle re-executes the analysis prefix once per crash
-/// point, which the unoptimised interpreter turns from seconds into
-/// minutes. Every sweep property is relative (fork vs replay, jobs=1 vs
-/// jobs=N), so the two profiles never compare counts; the release value
-/// is what CI's golden-pinned `BENCH_sweep.json` measures.
-#[cfg(not(debug_assertions))]
+/// Analysis passes per phase, the same in every build profile, so a
+/// configuration names one workload and one set of digests. CI's
+/// golden-pinned `BENCH_sweep.json` and the benchmark's `crash_sweep`
+/// workload run this value.
 const ANALYZE_PASSES: u32 = 56;
-#[cfg(debug_assertions)]
-const ANALYZE_PASSES: u32 = 8;
 
 /// Mutable workload context threaded through the steps (and captured
 /// alongside each snapshot so a fork can resume mid-list).

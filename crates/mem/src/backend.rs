@@ -27,8 +27,8 @@
 //!   for everything that sits on the memory bus directly.
 //!
 //! PCM is the identity row: identity fault model, zero penalty, patrol
-//! enabled, and the controller keeps honouring `MemConfig::nvm` verbatim
-//! for PCM so explicit timing overrides still work.
+//! enabled. A far tier with other timing is another row, swapped whole;
+//! `MemConfig` carries no per-field timing override beside it.
 
 use crate::config::{MediaFaultConfig, NvmConfig};
 

@@ -116,8 +116,6 @@ impl MediaFaultConfig {
 pub struct MemConfig {
     /// DRAM timing/geometry.
     pub dram: DramConfig,
-    /// NVM timing/buffering.
-    pub nvm: NvmConfig,
     /// Physical address layout.
     pub layout: E820Map,
     /// Optional NVM media-fault injection (off by default).
@@ -126,13 +124,10 @@ pub struct MemConfig {
     /// (on by default; off exists so equivalence tests can prove the fast
     /// path changes no observable output).
     pub mru_page_cache: bool,
-    /// Far-tier backend selection. `None` (the default) means PCM with
-    /// this config's `nvm` timings. `Some(b)` takes timing, fault
-    /// filtering, patrol capability and the link penalty from `b`'s
-    /// [`crate::backend::Backend`] methods. PCM, set or unset, keeps
-    /// this config's `nvm`; under every other backend `nvm` must stay
-    /// [`NvmConfig::pcm`], and `Machine::new` rejects a config that
-    /// changes it.
+    /// Far-tier backend selection; `None` (the default) means PCM. The
+    /// backend's [`crate::backend::Backend`] methods are the far tier's
+    /// only source of timing, fault filtering, patrol capability and link
+    /// penalty.
     pub backend: Option<crate::backend::Backend>,
 }
 
@@ -143,7 +138,6 @@ impl MemConfig {
     pub fn with_capacities(dram_bytes: u64, nvm_bytes: u64) -> Self {
         MemConfig {
             dram: DramConfig::default(),
-            nvm: NvmConfig::default(),
             layout: E820Map::flat(dram_bytes, nvm_bytes),
             faults: None,
             mru_page_cache: true,
@@ -162,13 +156,16 @@ impl Default for MemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use kindle_types::MemKind;
 
     #[test]
     fn default_matches_table_i() {
         let cfg = MemConfig::default();
-        assert_eq!(cfg.nvm.write_buffer, 48);
-        assert_eq!(cfg.nvm.read_buffer, 64);
+        assert_eq!(cfg.backend.unwrap_or_default(), Backend::Pcm);
+        let nvm = Backend::Pcm.timing();
+        assert_eq!(nvm.write_buffer, 48);
+        assert_eq!(nvm.read_buffer, 64);
         assert_eq!(cfg.layout.range(MemKind::Dram).size, 3 * GIB);
         assert_eq!(cfg.layout.range(MemKind::Nvm).size, 2 * GIB);
     }

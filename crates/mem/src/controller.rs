@@ -170,14 +170,12 @@ impl MemoryController {
     /// reading as zero.
     ///
     /// The far tier's semantics come from `cfg.backend` (PCM when unset):
-    /// device timing is [`Backend::timing`] — except for PCM, which keeps
-    /// honouring `cfg.nvm` verbatim so explicit timing overrides work —
-    /// the requested fault model is filtered through
-    /// [`Backend::fault_model`] before arming, and every far-tier access
-    /// pays [`Backend::link_penalty_ns`].
+    /// device timing is [`Backend::timing`], the requested fault model is
+    /// filtered through [`Backend::fault_model`] before arming, and every
+    /// far-tier access pays [`Backend::link_penalty_ns`].
     pub fn new(cfg: &MemConfig) -> Self {
         let backend = cfg.backend.unwrap_or_default();
-        let nvm_cfg = if backend == Backend::Pcm { cfg.nvm.clone() } else { backend.timing() };
+        let nvm_cfg = backend.timing();
         let faults = backend.fault_model(cfg.faults);
         let media = faults.as_ref().map(|f| {
             let nvm = cfg.layout.range(MemKind::Nvm);

@@ -2,7 +2,7 @@
 
 use kindle_cpu::Activity;
 use kindle_hscc::HsccEngine;
-use kindle_mem::{Backend, NvmConfig, PatrolOutcome, PowerSwitch};
+use kindle_mem::{PatrolOutcome, PowerSwitch};
 use kindle_os::{
     DaemonKind, IntegrityOutcome, Kernel, KernelConfig, PatrolPassOutcome, PatrolState,
     RetireOutcome, ScrubState, UnmapOutcome,
@@ -133,16 +133,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel/engine construction failures;
-    /// [`KindleError::InvalidArgument`] when `cfg.mem.nvm` departs from
-    /// [`NvmConfig::pcm`] under a non-PCM backend, whose timing comes
-    /// from the backend alone.
+    /// Propagates kernel/engine construction failures.
     pub fn new(cfg: MachineConfig) -> Result<Self> {
-        if cfg.mem.backend.is_some_and(|b| b != Backend::Pcm) && cfg.mem.nvm != NvmConfig::pcm() {
-            return Err(KindleError::InvalidArgument(
-                "MemConfig::nvm overrides only the pcm backend's timing",
-            ));
-        }
         let mut hw = Hw::new(&cfg);
         let (kernel, persist, ssp, hscc, scrub, patrol) = boot(&cfg, &mut hw)?;
         let mut m = Machine {
@@ -921,18 +913,6 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small()).unwrap();
         let pid = m.spawn_process().unwrap();
         (m, pid)
-    }
-
-    #[test]
-    fn nvm_timing_override_needs_the_pcm_backend() {
-        let shallow = |backend| {
-            let mut cfg = MachineConfig::small().with_backend(backend);
-            cfg.mem.nvm.write_buffer = 8;
-            Machine::new(cfg)
-        };
-        assert!(matches!(shallow(Backend::Numa), Err(KindleError::InvalidArgument(_))));
-        assert!(shallow(Backend::Pcm).is_ok());
-        assert!(Machine::new(MachineConfig::small().with_backend(Backend::Numa)).is_ok());
     }
 
     #[test]

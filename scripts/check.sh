@@ -36,22 +36,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tests (workspace) =="
 cargo test --workspace -q
 
-echo "== allowlist justification guard =="
-# Policy: fix, don't allowlist. Every check-allowlist.txt entry must be
-# preceded by a `#` justification comment on the line directly above it.
-awk '
-    /^[[:space:]]*$/ { prev = ""; next }
-    /^#/             { prev = "comment"; next }
-    {
-        if (prev != "comment") {
-            printf "check-allowlist.txt:%d: entry lacks a justification comment on the line above: %s\n", NR, $0
-            bad = 1
-        }
-        prev = "entry"
-    }
-    END { exit bad }
-' check-allowlist.txt
-
 echo "== kindle-check (KD003, KD005, KD006, KD009, KD010, KD012, KD013) =="
 cargo run -q -p kindle-check -- --json CHECK_lint.json
 
